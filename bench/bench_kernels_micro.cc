@@ -7,6 +7,8 @@
  *  - PyG Batch.from_data_list collation vs DGL heterograph collation
  *  - PyG scatter-based pooling vs DGL segment reduction
  *  - PyG composed edge softmax vs DGL fused edge softmax
+ *  - the dense GEMM's three transposes at the workload shapes, and its
+ *    dense vs zero-skip kernels across sparse-input densities
  *
  * These measure REAL CPU time of our implementations (not the
  * simulated-GPU times the table benches report); they justify the
@@ -26,8 +28,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "autograd/functions.hh"
 #include "backends/backend.hh"
@@ -227,20 +232,109 @@ BENCHMARK_CAPTURE(BM_AggregateAllocator, direct,
 BENCHMARK_CAPTURE(BM_AggregateAllocator, caching,
                   AllocatorKind::Caching);
 
-void
-BM_Sgemm(benchmark::State &state)
+/** A GEMM at a workload's forward shape X[n,k] · W[k,m]. */
+struct SgemmShape
 {
-    const int64_t n = state.range(0);
+    const char *name;
+    int64_t n, k, m;
+    double density;  ///< share of nonzero X entries
+};
+
+const SgemmShape kCoraLayer1 = {"cora_l1", 2708, 1433, 80, 0.058};
+
+const SgemmShape kSgemmShapes[] = {
+    {"gatedgcn", 4334, 96, 96, 1.0},
+    {"gat", 2734, 256, 256, 1.0},
+    {"gat_readout", 16, 256, 128, 1.0},
+    kCoraLayer1,
+    {"cora_l2", 2708, 80, 7, 0.5},
+};
+
+/**
+ * One transpose of `shape` — NN is the forward X·W, TN the weight
+ * gradient Xᵀ·dY, NT the input gradient dY·Wᵀ with dY as sparse as X —
+ * on a forced SIMD build and path, at pool width 1 so the time is one
+ * core's.
+ */
+void
+BM_Sgemm(benchmark::State &state, ops::gemm::Op op, SgemmShape shape,
+         ops::gemm::Path path, ops::gemm::Isa isa)
+{
+    using ops::gemm::Op;
+    par::ThreadScope single(1);
     Rng rng(4);
-    Tensor a = init::normal({n, n}, 0.0f, 1.0f, rng);
-    Tensor b = init::normal({n, n}, 0.0f, 1.0f, rng);
+    auto sparse = [&](int64_t rows, int64_t cols) {
+        Tensor t = Tensor::zeros({rows, cols});
+        for (int64_t i = 0; i < t.numel(); ++i)
+            if (rng.bernoulli(shape.density))
+                t.data()[i] = static_cast<float>(rng.normal());
+        return t;
+    };
+    const Tensor a = op == Op::NT ? sparse(shape.n, shape.m)
+                                  : sparse(shape.n, shape.k);
+    const Tensor b =
+        op == Op::NN ? init::normal({shape.k, shape.m}, 0.0f, 1.0f, rng)
+        : op == Op::TN
+            ? init::normal({shape.n, shape.m}, 0.0f, 1.0f, rng)
+            : init::normal({shape.k, shape.m}, 0.0f, 1.0f, rng);
     for (auto _ : state) {
-        Tensor c = ops::matmul(a, b);
+        Tensor c = ops::gemm::run(op, a, b, isa, path);
         benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+    state.SetItemsProcessed(state.iterations() * 2 * shape.n * shape.k *
+                            shape.m);
+    state.SetLabel(ops::gemm::isaName(isa));
 }
-BENCHMARK(BM_Sgemm)->Arg(64)->Arg(256);
+
+/**
+ * BM_Sgemm/<op>/<shape>/auto for every workload shape on the selected
+ * build, and BM_Sgemm/<op>/<shape>/auto/<isa> on each other SIMD build
+ * the CPU runs (a build that only an older CPU would select is still
+ * timed here); then the dense and zero-skip kernels on Cora's layer-1
+ * NN and TN across densities — the sweep behind the GEMM's dense/skip
+ * density threshold.
+ */
+void
+registerSgemm()
+{
+    using ops::gemm::Isa;
+    using ops::gemm::Op;
+    using ops::gemm::Path;
+    const std::pair<Op, const char *> opsByName[] = {
+        {Op::NN, "nn"}, {Op::TN, "tn"}, {Op::NT, "nt"}};
+    const Isa selected = ops::gemm::selected();
+    for (Isa isa : {Isa::Avx2, Isa::Avx512}) {
+        if (!ops::gemm::supported(isa))
+            continue;
+        const std::string suffix =
+            isa == selected ? "" : std::string("/") + ops::gemm::isaName(isa);
+        for (const SgemmShape &shape : kSgemmShapes)
+            for (const auto &[op, opName] : opsByName)
+                benchmark::RegisterBenchmark(
+                    (std::string("BM_Sgemm/") + opName + "/" + shape.name +
+                     "/auto" + suffix)
+                        .c_str(),
+                    BM_Sgemm, op, shape, Path::Auto, isa)
+                    ->Unit(benchmark::kMillisecond);
+    }
+    for (double density : {0.013, 0.058, 0.1, 0.2, 0.3, 0.5})
+        for (Op op : {Op::NN, Op::TN})
+            for (const auto &[path, pathName] :
+                 {std::pair{Path::Dense, "dense"},
+                  std::pair{Path::Skip, "skip"}}) {
+                SgemmShape shape = kCoraLayer1;
+                shape.density = density;
+                char name[96];
+                std::snprintf(name, sizeof name,
+                              "BM_Sgemm/%s/cora_l1_d%.3f/%s",
+                              op == Op::NN ? "nn" : "tn", density,
+                              pathName);
+                benchmark::RegisterBenchmark(name, BM_Sgemm, op, shape,
+                                             path, selected)
+                    ->Unit(benchmark::kMillisecond);
+            }
+}
 
 /**
  * Thread-scaling series: per kernel, wall-clock best-of-5 at each pool
@@ -338,6 +432,7 @@ main(int argc, char **argv)
 {
     bench::StatsScope stats("kernels_micro");
     bench::Baseline baseline("kernels_micro");
+    registerSgemm();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

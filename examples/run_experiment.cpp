@@ -15,6 +15,7 @@
  *                  [--stats-out FILE] [--events-out FILE]
  *                  [--roofline-out FILE] [--bench-out FILE]
  *                  [--trace-out FILE] [--hwprof[=sw]] [--version]
+ *                  [--help]
  *
  * Both frameworks are always run and compared side by side, as in the
  * paper's tables. Flags accept both `--key value` and `--key=value`.
@@ -70,7 +71,12 @@
  * non-hwprof numerics are byte-identical with the profiler on or off.
  *
  * --version prints build provenance (git, compiler, build type,
- * sanitizers) and exits.
+ * sanitizers) and exits; --help prints the flags and exits.
+ *
+ * Sizes are checked before anything trains: --epochs and --folds must
+ * be at least 1, and --graphs at least 10, since every graph run
+ * splits the dataset into the paper's ten stratified folds. A bad value
+ * is a fatal error (exit 1).
  *
  * Examples:
  *   run_experiment --task node --model GAT --dataset cora --epochs 100
@@ -109,6 +115,29 @@ using namespace gnnperf;
 
 namespace {
 
+const char *const kUsage =
+    "usage: run_experiment [flags]   (--key value or --key=value)\n"
+    "  --task node|graph          task (default graph)\n"
+    "  --model NAME               GCN GAT GIN GraphSage MoNet GatedGCN\n"
+    "  --dataset NAME             node: cora|pubmed, graph: "
+    "enzymes|dd|mnist\n"
+    "  --epochs N                 epochs, >= 1 (node 60, graph 15)\n"
+    "  --folds N                  graph folds to run, >= 1 (default 2)\n"
+    "  --graphs N                 graph dataset size, >= 10\n"
+    "  --seeds N                  node-task seeds (default 1)\n"
+    "  --threads N                thread-pool width\n"
+    "  --ir eager|graph           dispatch path\n"
+    "  --allocator direct|caching device allocator\n"
+    "  --stats-out FILE           metrics registry JSON\n"
+    "  --events-out FILE          per-epoch run events (JSONL)\n"
+    "  --roofline-out FILE        roofline suite JSON\n"
+    "  --bench-out FILE           BENCH baseline JSON\n"
+    "  --trace-out FILE           merged execution trace JSON\n"
+    "  --hwprof[=sw]              hardware-counter profiler\n"
+    "  --verbose                  per-epoch progress\n"
+    "  --version                  build provenance, then exit\n"
+    "  --help                     this text, then exit\n";
+
 /** Minimal parser accepting --key value and --key=value. */
 std::map<std::string, std::string>
 parseArgs(int argc, char **argv)
@@ -123,7 +152,7 @@ parseArgs(int argc, char **argv)
         if (eq != std::string::npos) {
             args[key.substr(0, eq)] = key.substr(eq + 1);
         } else if (key == "verbose" || key == "hwprof" ||
-                   key == "version") {
+                   key == "version" || key == "help") {
             args[key] = "1";
         } else {
             if (i + 1 >= argc)
@@ -148,6 +177,18 @@ getInt(const std::map<std::string, std::string> &args, const char *key,
 {
     auto it = args.find(key);
     return it == args.end() ? fallback : std::atoll(it->second.c_str());
+}
+
+/** The integer flag `key`, fatal when given below `min`. */
+int64_t
+getIntAtLeast(const std::map<std::string, std::string> &args,
+              const char *key, int64_t fallback, int64_t min,
+              const char *why)
+{
+    const int64_t value = getInt(args, key, fallback);
+    if (value < min)
+        gnnperf_fatal("--", key, " ", value, " is out of range: ", why);
+    return value;
 }
 
 /** Write --stats-out / --events-out artifacts after the run. */
@@ -271,6 +312,10 @@ int
 main(int argc, char **argv)
 {
     auto args = parseArgs(argc, argv);
+    if (args.count("help") > 0) {
+        std::printf("%s", kUsage);
+        return 0;
+    }
     if (args.count("version") > 0) {
         std::printf("%s\n",
                     buildinfo::versionLine("run_experiment").c_str());
@@ -317,8 +362,8 @@ main(int argc, char **argv)
         else
             gnnperf_fatal("node task supports cora|pubmed, got ",
                           dataset_name);
-        const int epochs =
-            static_cast<int>(getInt(args, "epochs", 60));
+        const int epochs = static_cast<int>(getIntAtLeast(
+            args, "epochs", 60, 1, "need at least one epoch"));
         const int seeds = static_cast<int>(getInt(args, "seeds", 1));
         auto rows = runNodeClassification(ds, {model}, seeds, epochs,
                                           verbose);
@@ -349,8 +394,19 @@ main(int argc, char **argv)
     }
 
     if (task == "graph") {
+        // Checked before the dataset is built: every graph run splits
+        // it into ten stratified folds, which needs ten graphs.
+        const int epochs = static_cast<int>(getIntAtLeast(
+            args, "epochs", 15, 1, "need at least one epoch"));
+        const int folds = static_cast<int>(getIntAtLeast(
+            args, "folds", 2, 1, "need at least one fold"));
+        const int64_t graphs =
+            args.count("graphs") > 0
+                ? getIntAtLeast(args, "graphs", 0, 10,
+                                "the 10-fold split needs at least 10 "
+                                "graphs")
+                : 0;
         GraphDataset ds;
-        const int64_t graphs = getInt(args, "graphs", 0);
         if (iequals(dataset_name, "enzymes"))
             ds = makeEnzymes(42, graphs > 0 ? graphs : 300);
         else if (iequals(dataset_name, "dd"))
@@ -363,9 +419,6 @@ main(int argc, char **argv)
             gnnperf_fatal("graph task supports enzymes|dd|mnist, got ",
                           dataset_name);
         }
-        const int epochs =
-            static_cast<int>(getInt(args, "epochs", 15));
-        const int folds = static_cast<int>(getInt(args, "folds", 2));
         auto rows = runGraphClassification(ds, {model}, folds, epochs,
                                            /*seed=*/1, verbose);
         std::printf("%s\n", renderGraphTable(ds.name, rows).c_str());
