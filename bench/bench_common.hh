@@ -19,7 +19,6 @@
 #include "core/report.hh"
 #include "obs/diff.hh"
 #include "obs/exec_trace.hh"
-#include "obs/hwprof.hh"
 #include "obs/stats.hh"
 
 namespace gnnperf {
@@ -49,10 +48,6 @@ banner(const char *what, const char *paper_ref)
  * exit; GNNPERF_TRACE=1 writes `<prefix>.trace.json` into
  * GNNPERF_CSV_DIR next to the stats artifacts (no-op when the dir is
  * unset).
- *
- * GNNPERF_HWPROF=1|sw turns on the hardware-counter profiler for the
- * bench (obs/hwprof.hh); its totals land in the stats snapshot as
- * hwprof.* gauges and in BENCH JSONs via the Baseline scope.
  */
 class StatsScope
 {
@@ -69,7 +64,6 @@ class StatsScope
         }
         if (!tracePath_.empty())
             ExecTrace::instance().enable();
-        hwprof::configure(envString("GNNPERF_HWPROF", ""));
     }
 
     ~StatsScope()
@@ -80,7 +74,6 @@ class StatsScope
             trace.writeTo(tracePath_);
             std::printf("wrote %s\n", tracePath_.c_str());
         }
-        hwprof::publishStats();
         maybeWriteStatsArtifacts(prefix_);
     }
 
@@ -106,7 +99,6 @@ class Baseline
     {
         appendAllocatorSeries(series_);
         appendParallelSeries(series_);
-        appendHwprofSeries(series_);
         maybeWriteCsv("BENCH_" + name_ + ".json",
                       diff::baselineToJson(name_, series_));
     }

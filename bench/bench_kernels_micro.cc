@@ -289,11 +289,9 @@ BM_Sgemm(benchmark::State &state, ops::gemm::Op op, SgemmShape shape,
 
 /**
  * BM_Sgemm/<op>/<shape>/auto for every workload shape on the selected
- * build, and BM_Sgemm/<op>/<shape>/auto/<isa> on each other SIMD build
- * the CPU runs (a build that only an older CPU would select is still
- * timed here); then the dense and zero-skip kernels on Cora's layer-1
- * NN and TN across densities — the sweep behind the GEMM's dense/skip
- * density threshold.
+ * build; then the dense and zero-skip kernels on Cora's layer-1 NN and
+ * TN across densities — the sweep behind the GEMM's dense/skip density
+ * threshold.
  */
 void
 registerSgemm()
@@ -304,20 +302,14 @@ registerSgemm()
     const std::pair<Op, const char *> opsByName[] = {
         {Op::NN, "nn"}, {Op::TN, "tn"}, {Op::NT, "nt"}};
     const Isa selected = ops::gemm::selected();
-    for (Isa isa : {Isa::Avx2, Isa::Avx512}) {
-        if (!ops::gemm::supported(isa))
-            continue;
-        const std::string suffix =
-            isa == selected ? "" : std::string("/") + ops::gemm::isaName(isa);
-        for (const SgemmShape &shape : kSgemmShapes)
-            for (const auto &[op, opName] : opsByName)
-                benchmark::RegisterBenchmark(
-                    (std::string("BM_Sgemm/") + opName + "/" + shape.name +
-                     "/auto" + suffix)
-                        .c_str(),
-                    BM_Sgemm, op, shape, Path::Auto, isa)
-                    ->Unit(benchmark::kMillisecond);
-    }
+    for (const SgemmShape &shape : kSgemmShapes)
+        for (const auto &[op, opName] : opsByName)
+            benchmark::RegisterBenchmark(
+                (std::string("BM_Sgemm/") + opName + "/" + shape.name +
+                 "/auto")
+                    .c_str(),
+                BM_Sgemm, op, shape, Path::Auto, selected)
+                ->Unit(benchmark::kMillisecond);
     for (double density : {0.013, 0.058, 0.1, 0.2, 0.3, 0.5})
         for (Op op : {Op::NN, Op::TN})
             for (const auto &[path, pathName] :

@@ -14,11 +14,12 @@
  *                  [--allocator direct|caching]
  *                  [--stats-out FILE] [--events-out FILE]
  *                  [--roofline-out FILE] [--bench-out FILE]
- *                  [--trace-out FILE] [--hwprof[=sw]] [--version]
- *                  [--help]
+ *                  [--trace-out FILE] [--version] [--help]
  *
  * Both frameworks are always run and compared side by side, as in the
- * paper's tables. Flags accept both `--key value` and `--key=value`.
+ * paper's tables. Flags accept both `--key value` and `--key=value`;
+ * an unknown flag, a missing value or a value on a switch is a fatal
+ * error (exit 1) that names the flag.
  *
  * --threads sets the host thread-pool width for every kernel (default:
  * GNNPERF_THREADS, else hardware concurrency). `--threads 1` runs the
@@ -29,11 +30,10 @@
  * --ir selects the dispatch path (default: eager; GNNPERF_IR
  * overrides the default). `graph` records each training iteration
  * into the op-graph IR, fuses gather→elementwise→scatter chains into
- * single launches and pre-places the iteration's allocations before
- * replaying (src/ir, docs/IR.md). Both paths are numerically
- * bit-identical at every thread width; only launch counts, spans and
- * the reserved-pool series change. BENCH JSONs carry the `ir.*`
- * dispatch series either way.
+ * single launches and replays them (src/ir, docs/IR.md). Both paths
+ * are numerically bit-identical at every thread width; only launch
+ * counts and spans change. BENCH JSONs carry the `ir.*` dispatch
+ * series either way.
  *
  * --allocator selects the device allocator for the process (default:
  * caching; GNNPERF_ALLOCATOR overrides the default). Logical peak
@@ -47,6 +47,11 @@
  * --roofline-out re-runs the configuration with per-epoch roofline
  * attribution, prints the Fig-5-style utilization table plus the
  * per-kernel breakdowns, and writes the JSON suite (obs/roofline.hh).
+ * Each group is priced on the modeled 2080Ti and also measured: its
+ * summed per-record host wall windows, achieved rates and a measured
+ * bound class against two host peaks (GEMM, STREAM triad) taken once
+ * at the start. Every wall-derived JSON leaf sits under a `measured`
+ * key, so `gnnperf_diff --ignore measured` compares the modeled rest.
  *
  * --bench-out writes a BENCH baseline: the per-row performance series
  * (epoch/total seconds, accuracy, epoch count) plus the per-framework
@@ -59,16 +64,6 @@
  * the cuda peak-attribution table. GNNPERF_TRACE=FILE is the env
  * equivalent (the flag wins when both are set). Inspect or merge the
  * files with tools/gnnperf_trace.
- *
- * --hwprof turns on the hardware-counter profiler (obs/hwprof.hh):
- * roofline output gains Measured columns (IPC, cache-miss rate, an
- * empirical bound class) and a modeled-vs-measured agreement verdict
- * per kernel, stats/BENCH JSONs gain hwprof.* series, and the trace
- * gains pid-4 counter tracks. --hwprof=sw forces the software
- * fallback tier (rusage + /proc); when perf_event_open is denied the
- * profiler falls back to it automatically and never fails the run.
- * GNNPERF_HWPROF=1|sw is the env equivalent (the flag wins). All
- * non-hwprof numerics are byte-identical with the profiler on or off.
  *
  * --version prints build provenance (git, compiler, build type,
  * sanitizers) and exits; --help prints the flags and exits.
@@ -105,7 +100,6 @@
 #include "ir/ir.hh"
 #include "obs/diff.hh"
 #include "obs/exec_trace.hh"
-#include "obs/hwprof.hh"
 #include "obs/roofline.hh"
 #include "obs/stats.hh"
 #include "obs/stats_export.hh"
@@ -115,30 +109,49 @@ using namespace gnnperf;
 
 namespace {
 
-const char *const kUsage =
-    "usage: run_experiment [flags]   (--key value or --key=value)\n"
-    "  --task node|graph          task (default graph)\n"
-    "  --model NAME               GCN GAT GIN GraphSage MoNet GatedGCN\n"
-    "  --dataset NAME             node: cora|pubmed, graph: "
-    "enzymes|dd|mnist\n"
-    "  --epochs N                 epochs, >= 1 (node 60, graph 15)\n"
-    "  --folds N                  graph folds to run, >= 1 (default 2)\n"
-    "  --graphs N                 graph dataset size, >= 10\n"
-    "  --seeds N                  node-task seeds (default 1)\n"
-    "  --threads N                thread-pool width\n"
-    "  --ir eager|graph           dispatch path\n"
-    "  --allocator direct|caching device allocator\n"
-    "  --stats-out FILE           metrics registry JSON\n"
-    "  --events-out FILE          per-epoch run events (JSONL)\n"
-    "  --roofline-out FILE        roofline suite JSON\n"
-    "  --bench-out FILE           BENCH baseline JSON\n"
-    "  --trace-out FILE           merged execution trace JSON\n"
-    "  --hwprof[=sw]              hardware-counter profiler\n"
-    "  --verbose                  per-epoch progress\n"
-    "  --version                  build provenance, then exit\n"
-    "  --help                     this text, then exit\n";
+/** One accepted flag: the table behind parsing and --help. */
+struct Flag
+{
+    const char *name;
+    const char *value;  ///< metavar shown in --help; nullptr: a switch
+    const char *help;
+};
 
-/** Minimal parser accepting --key value and --key=value. */
+const Flag kFlags[] = {
+    {"task", "node|graph", "task (default graph)"},
+    {"model", "NAME", "GCN GAT GIN GraphSage MoNet GatedGCN"},
+    {"dataset", "NAME", "node: cora|pubmed, graph: enzymes|dd|mnist"},
+    {"epochs", "N", "epochs, >= 1 (node 60, graph 15)"},
+    {"folds", "N", "graph folds to run, >= 1 (default 2)"},
+    {"graphs", "N", "graph dataset size, >= 10"},
+    {"seeds", "N", "node-task seeds (default 1)"},
+    {"threads", "N", "thread-pool width"},
+    {"ir", "eager|graph", "dispatch path"},
+    {"allocator", "direct|caching", "device allocator"},
+    {"stats-out", "FILE", "metrics registry JSON"},
+    {"events-out", "FILE", "per-epoch run events (JSONL)"},
+    {"roofline-out", "FILE", "roofline suite JSON"},
+    {"bench-out", "FILE", "BENCH baseline JSON"},
+    {"trace-out", "FILE", "merged execution trace JSON"},
+    {"verbose", nullptr, "per-epoch progress"},
+    {"version", nullptr, "build provenance, then exit"},
+    {"help", nullptr, "this text, then exit"},
+};
+
+void
+printUsage()
+{
+    std::printf(
+        "usage: run_experiment [flags]   (--key value or --key=value)\n");
+    for (const Flag &f : kFlags) {
+        std::string lhs = std::string("--") + f.name;
+        if (f.value != nullptr)
+            lhs += std::string(" ") + f.value;
+        std::printf("  %-26s %s\n", lhs.c_str(), f.help);
+    }
+}
+
+/** Parse --key value / --key=value against kFlags; fatal otherwise. */
 std::map<std::string, std::string>
 parseArgs(int argc, char **argv)
 {
@@ -149,15 +162,24 @@ parseArgs(int argc, char **argv)
             gnnperf_fatal("unexpected argument: ", key);
         key = key.substr(2);
         const std::size_t eq = key.find('=');
-        if (eq != std::string::npos) {
-            args[key.substr(0, eq)] = key.substr(eq + 1);
-        } else if (key == "verbose" || key == "hwprof" ||
-                   key == "version" || key == "help") {
-            args[key] = "1";
+        const std::string name = key.substr(0, eq);
+        const Flag *flag = nullptr;
+        for (const Flag &f : kFlags) {
+            if (name == f.name)
+                flag = &f;
+        }
+        if (flag == nullptr)
+            gnnperf_fatal("unknown flag --", name, " (see --help)");
+        if (flag->value == nullptr) {
+            if (eq != std::string::npos)
+                gnnperf_fatal("--", name, " takes no value");
+            args.emplace(name, "1");
+        } else if (eq != std::string::npos) {
+            args[name] = key.substr(eq + 1);
         } else {
             if (i + 1 >= argc)
-                gnnperf_fatal("--", key, " needs a value");
-            args[key] = argv[++i];
+                gnnperf_fatal("--", name, " needs a value");
+            args[name] = argv[++i];
         }
     }
     return args;
@@ -197,9 +219,6 @@ writeStatsOutputs(const std::map<std::string, std::string> &args)
 {
     const std::string stats_path = get(args, "stats-out", "");
     const std::string events_path = get(args, "events-out", "");
-    // Mirror the counter totals into hwprof.* gauges so the stats
-    // snapshot carries them (no-op with the profiler off).
-    hwprof::publishStats();
     if (!stats_path.empty()) {
         writeFile(stats_path, stats::statsToJson());
         std::printf("wrote %s\n", stats_path.c_str());
@@ -215,15 +234,12 @@ void
 writeRooflineOutputs(const std::string &path,
                      const std::vector<RooflineReport> &suite)
 {
-    // State the counter tier up front so a fallback run says so in
-    // the report (acceptance criterion for denied perf_event_open).
-    for (const auto &report : suite) {
-        if (report.hwprofTier != hwprof::Tier::Off) {
-            std::printf("hwprof: %s tier — %s\n",
-                        hwprof::tierName(report.hwprofTier),
-                        report.hwprofTierReason.c_str());
-            break;
-        }
+    if (!suite.empty()) {
+        std::printf("host peaks (%d threads): GEMM %.2f GFLOP/s, "
+                    "triad %.2f GB/s\n",
+                    suite.front().hostThreads,
+                    suite.front().peaks.gemmFlopsPerSec / 1e9,
+                    suite.front().peaks.triadBytesPerSec / 1e9);
     }
     std::printf("%s\n", renderRooflineTable(suite).c_str());
     for (const auto &report : suite) {
@@ -264,21 +280,8 @@ writeBenchOutput(const std::string &path, const std::string &bench_name,
     appendAllocatorSeries(series);
     appendParallelSeries(series);
     appendIrSeries(series);
-    appendHwprofSeries(series);
     writeFile(path, diff::baselineToJson(bench_name, series));
     std::printf("wrote %s\n", path.c_str());
-}
-
-/** --hwprof[=MODE], falling back to GNNPERF_HWPROF (flag wins). */
-std::string
-hwprofMode(const std::map<std::string, std::string> &args)
-{
-    auto it = args.find("hwprof");
-    if (it != args.end())
-        return it->second;
-    if (const char *env = std::getenv("GNNPERF_HWPROF"))
-        return env;
-    return "";
 }
 
 /** --trace-out FILE, falling back to GNNPERF_TRACE=FILE. */
@@ -313,7 +316,7 @@ main(int argc, char **argv)
 {
     auto args = parseArgs(argc, argv);
     if (args.count("help") > 0) {
-        std::printf("%s", kUsage);
+        printUsage();
         return 0;
     }
     if (args.count("version") > 0) {
@@ -349,9 +352,6 @@ main(int argc, char **argv)
     const std::string trace_path = tracePath(args);
     if (!trace_path.empty())
         ExecTrace::instance().enable();
-    // Counter profiling starts before the dataset too, so warm-up
-    // faults land in the aggregates rather than the first kernel.
-    hwprof::configure(hwprofMode(args));
 
     if (task == "node") {
         NodeDataset ds;

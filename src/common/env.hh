@@ -37,15 +37,8 @@
  *                           executes kernels as fn:: ops are called
  *                           (bit-identical reference); graph records
  *                           the iteration into an op graph, fuses
- *                           gather→elementwise→scatter chains, plans
- *                           allocations, then replays. --ir on
- *                           run_experiment wins.
- *   GNNPERF_HWPROF=1|sw|0 — hardware-counter profiling tier
- *                           (obs/hwprof.hh): 1 probes
- *                           perf_event_open and falls back to the
- *                           software (rusage) tier when denied; sw
- *                           forces the software tier; 0/off disables.
- *                           --hwprof on run_experiment wins.
+ *                           gather→elementwise→scatter chains, then
+ *                           replays. --ir on run_experiment wins.
  */
 
 #ifndef GNNPERF_COMMON_ENV_HH

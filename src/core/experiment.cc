@@ -1,14 +1,17 @@
 #include "core/experiment.hh"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "autograd/functions.hh"
 #include "common/logging.hh"
 #include "device/multi_gpu.hh"
 #include "device/profiler.hh"
-#include "obs/hwprof.hh"
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
+#include "parallel/thread_pool.hh"
+#include "tensor/matmul.hh"
 
 namespace gnnperf {
 
@@ -149,11 +152,78 @@ runLayerwiseProfile(const GraphDataset &dataset,
     return cells;
 }
 
+namespace {
+
+/** Best-of-`reps` wall seconds of fn(). */
+template <typename Fn>
+double
+bestSeconds(int reps, Fn &&fn)
+{
+    double best = 0.0;
+    for (int i = 0; i < reps; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        const double s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        if (i == 0 || s < best)
+            best = s;
+    }
+    return best;
+}
+
+HostPeaks
+measureHostPeaks()
+{
+    HostPeaks peaks;
+    // GatedGCN's hidden layer on a full ENZYMES batch of 128 graphs
+    // (bench_kernels_micro's `gatedgcn` shape).
+    const int64_t n = 4334, k = 96, m = 96;
+    Tensor a({n, k}, DeviceKind::Host);
+    Tensor b({k, m}, DeviceKind::Host);
+    std::fill(a.data(), a.data() + a.numel(), 0.5f);
+    std::fill(b.data(), b.data() + b.numel(), 0.25f);
+    const double gemm_s = bestSeconds(5, [&] {
+        ops::gemm::run(ops::gemm::Op::NN, a, b, ops::gemm::selected());
+    });
+    peaks.gemmFlopsPerSec = 2.0 * static_cast<double>(n * k * m) / gemm_s;
+
+    // 16 MB per array: past every core's private cache.
+    const int64_t len = int64_t{1} << 22;
+    std::vector<float> x(static_cast<std::size_t>(len), 1.0f);
+    std::vector<float> y(static_cast<std::size_t>(len), 2.0f);
+    std::vector<float> z(static_cast<std::size_t>(len), 0.0f);
+    const float *px = x.data();
+    const float *py = y.data();
+    float *pz = z.data();
+    const double triad_s = bestSeconds(5, [&] {
+        par::parallelFor("par.triad", 0, len, par::grainFor(len, 1),
+                         [&](int64_t i0, int64_t i1, int) {
+                             for (int64_t i = i0; i < i1; ++i)
+                                 pz[i] = px[i] + 3.0f * py[i];
+                         });
+    });
+    peaks.triadBytesPerSec =
+        3.0 * static_cast<double>(len) * sizeof(float) / triad_s;
+    return peaks;
+}
+
+} // namespace
+
+HostPeaks
+hostPeaks()
+{
+    static const HostPeaks peaks = measureHostPeaks();
+    return peaks;
+}
+
 std::vector<RooflineReport>
 runGraphRoofline(const GraphDataset &dataset,
                  const std::vector<ModelKind> &models, int epochs,
                  int64_t batch_size, uint64_t seed)
 {
+    // Before training resets the allocator peaks.
+    const HostPeaks peaks = hostPeaks();
     std::vector<FoldSplit> splits =
         stratifiedKFold(dataset.labels(), 10, seed);
     const FoldSplit &fold = splits.front();
@@ -165,7 +235,8 @@ runGraphRoofline(const GraphDataset &dataset,
             RooflineAnalyzer analyzer(
                 CostModel::defaultModel(), backend.dispatchOverhead(),
                 std::string(modelName(kind)) + "/" +
-                    frameworkName(fw));
+                    frameworkName(fw),
+                peaks);
             TrainOptions opts;
             opts.maxEpochs = epochs;
             opts.batchSize = batch_size;
@@ -175,13 +246,8 @@ runGraphRoofline(const GraphDataset &dataset,
                             const std::vector<std::string> &names) {
                     analyzer.addTrace(trace, names);
                 };
-            // Scope measured counters to this config so the Measured
-            // columns line up with exactly this report's launches.
-            hwprof::resetAggregates();
             trainGraphTask(kind, backend, dataset, fold, opts);
-            RooflineReport report = analyzer.report();
-            attachMeasuredCounters(report);
-            suite.push_back(std::move(report));
+            suite.push_back(analyzer.report());
         }
     }
     return suite;
@@ -192,6 +258,7 @@ runNodeRoofline(const NodeDataset &dataset,
                 const std::vector<ModelKind> &models, int epochs,
                 uint64_t seed)
 {
+    const HostPeaks peaks = hostPeaks();
     std::vector<RooflineReport> suite;
     for (ModelKind kind : models) {
         for (FrameworkKind fw : allFrameworks()) {
@@ -199,7 +266,8 @@ runNodeRoofline(const NodeDataset &dataset,
             RooflineAnalyzer analyzer(
                 CostModel::defaultModel(), backend.dispatchOverhead(),
                 std::string(modelName(kind)) + "/" +
-                    frameworkName(fw));
+                    frameworkName(fw),
+                peaks);
             TrainOptions opts;
             opts.maxEpochs = epochs;
             opts.seed = seed;
@@ -208,11 +276,8 @@ runNodeRoofline(const NodeDataset &dataset,
                             const std::vector<std::string> &names) {
                     analyzer.addTrace(trace, names);
                 };
-            hwprof::resetAggregates();
             trainNodeTask(kind, backend, dataset, opts);
-            RooflineReport report = analyzer.report();
-            attachMeasuredCounters(report);
-            suite.push_back(std::move(report));
+            suite.push_back(analyzer.report());
         }
     }
     return suite;

@@ -95,10 +95,20 @@ runMultiGpuScaling(const GraphDataset &dataset,
                    const std::vector<int> &gpu_counts, uint64_t seed);
 
 /**
+ * The host peaks measured windows are judged against, measured on the
+ * first call and reused for the rest of the process (tens of ms): the
+ * selected GEMM build's FLOP/s at GatedGCN's hidden-layer shape and a
+ * STREAM-triad byte rate over plain host buffers, each at the pool
+ * width of that call and the best of a few repetitions. Records no
+ * trace entry.
+ */
+HostPeaks hostPeaks();
+
+/**
  * Roofline attribution for model × framework on a graph dataset: each
  * configuration trains for `epochs` mini-batch epochs while every
- * epoch's trace is classified (obs/roofline.hh). One report per
- * configuration, labelled "Model/Framework".
+ * epoch's trace is classified (obs/roofline.hh), modeled and measured.
+ * One report per configuration, labelled "Model/Framework".
  */
 std::vector<RooflineReport>
 runGraphRoofline(const GraphDataset &dataset,

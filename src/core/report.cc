@@ -8,7 +8,6 @@
 #include "device/device.hh"
 #include "device/trace_export.hh"
 #include "ir/ir.hh"
-#include "obs/hwprof.hh"
 #include "obs/stats.hh"
 #include "obs/stats_export.hh"
 #include "parallel/thread_pool.hh"
@@ -315,29 +314,6 @@ appendParallelSeries(
 }
 
 void
-appendHwprofSeries(
-    std::vector<std::pair<std::string, double>> &series)
-{
-    if (!hwprof::enabled())
-        return;
-    const hwprof::Snapshot snap = hwprof::snapshot();
-    const double tier_level =
-        snap.tier == hwprof::Tier::Hardware   ? 2
-        : snap.tier == hwprof::Tier::Software ? 1
-                                              : 0;
-    series.emplace_back("hwprof.tier", tier_level);
-    series.emplace_back("hwprof.windows",
-                        static_cast<double>(snap.total.windows));
-    for (int c = 0; c < hwprof::kNumCounters; ++c) {
-        series.emplace_back(
-            std::string("hwprof.") + hwprof::counterName(c),
-            static_cast<double>(snap.total.sum[c]));
-    }
-    series.emplace_back("hwprof.rss_peak_bytes",
-                        static_cast<double>(snap.rssPeakBytes));
-}
-
-void
 appendIrSeries(std::vector<std::pair<std::string, double>> &series)
 {
     const ir::IrCounters &c = ir::counters();
@@ -347,12 +323,6 @@ appendIrSeries(std::vector<std::pair<std::string, double>> &series)
                         static_cast<double>(c.fusedLaunches));
     series.emplace_back("ir.launches_saved",
                         static_cast<double>(c.launchesSaved));
-    const double plan_peak =
-        ir::mode() == ir::IrMode::Graph
-            ? static_cast<double>(DeviceManager::instance().stats(
-                  DeviceKind::Cuda).reservedPeak)
-            : 0.0;
-    series.emplace_back("ir.plan_reserved_peak", plan_peak);
 }
 
 void

@@ -87,20 +87,9 @@ void appendParallelSeries(
     std::vector<std::pair<std::string, double>> &series);
 
 /**
- * Append the hardware-counter series (`hwprof.*`) to a BENCH series
- * list. A no-op when the profiler is off, keeping hwprof-off BENCH
- * JSONs byte-identical; the values are machine-dependent, so gates
- * diff them with --ignore hwprof.
- */
-void appendHwprofSeries(
-    std::vector<std::pair<std::string, double>> &series);
-
-/**
  * Append the recorded-IR dispatch series (`ir.*`): ops recorded,
- * fused launches, launches saved by fusion, and the planner's
- * reserved peak (the Cuda reserved high-water mark in graph mode, 0
- * in eager, where no plan ran). Deterministic at every thread width,
- * so graph-mode runs diff clean at 0% tolerance.
+ * fused launches and launches saved by fusion. Deterministic at every
+ * thread width, so graph-mode runs diff clean at 0% tolerance.
  */
 void appendIrSeries(
     std::vector<std::pair<std::string, double>> &series);

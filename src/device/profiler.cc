@@ -29,7 +29,7 @@ Profiler::pushLayer(const char *name)
 void
 Profiler::reset()
 {
-    trace_.clear();
+    clearTrace();
     layerNames_.clear();
     layerIds_.clear();
     layer_ = -1;

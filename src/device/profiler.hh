@@ -8,11 +8,20 @@
  * tensor ops, graph kernels and collation code append KernelRecord /
  * HostRecord entries annotated with the current Phase and layer scope;
  * the Timeline then prices the trace (see timeline.hh).
+ *
+ * Every record also carries its measured window: the host wall time
+ * since the previous record, or since the trace was last enabled or
+ * cleared. Windows tile the traced span with no gaps, so summing them
+ * per kernel, layer or phase attributes all of it (obs/roofline.hh).
+ * Only the thread that drives training records: the trace is not
+ * thread-safe, and a pooled launch's workers finish before the caller
+ * records it, so one cursor covers them.
  */
 
 #ifndef GNNPERF_DEVICE_PROFILER_HH
 #define GNNPERF_DEVICE_PROFILER_HH
 
+#include <chrono>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,7 +29,6 @@
 #include "common/checks.hh"
 #include "device/kernel_registry.hh"
 #include "device/trace.hh"
-#include "obs/hwprof.hh"
 #include "obs/spans.hh"
 
 namespace gnnperf {
@@ -34,8 +42,14 @@ class Profiler
     /** The process-wide instance. */
     static Profiler &instance();
 
-    /** Enable/disable trace collection. */
-    void setEnabled(bool enabled) { enabled_ = enabled; }
+    /** Enable/disable trace collection; enabling restarts the window. */
+    void
+    setEnabled(bool enabled)
+    {
+        enabled_ = enabled;
+        if (enabled)
+            cursor_ = Clock::now();
+    }
     bool enabled() const { return enabled_; }
 
     /** Current phase (stamped into records). */
@@ -70,19 +84,8 @@ class Profiler
             assertKernelRegistered(name);
         if (!enabled_)
             return;
-        trace_.addKernel(KernelRecord{name, flops, bytes, phase_, layer_});
-        // Hardware-counter attribution shares the kernel window: the
-        // delta since the last window on this thread belongs to this
-        // launch (gate checked again inside; off = relaxed load).
-        if (hwprof::enabled()) {
-            const std::string *layer_name =
-                layer_ >= 0 &&
-                        static_cast<std::size_t>(layer_) <
-                            layerNames_.size()
-                    ? &layerNames_[layer_]
-                    : nullptr;
-            hwprof::onKernelRecord(name, phase_, layer_, layer_name);
-        }
+        trace_.addKernel(KernelRecord{name, flops, bytes, phase_, layer_,
+                                      window()});
     }
 
     /** Emit a host record (no-op when disabled). */
@@ -93,22 +96,44 @@ class Profiler
         if (!enabled_)
             return;
         trace_.addHost(HostRecord{name, kind, bytes, items, phase_,
-                                  layer_});
+                                  layer_, window()});
     }
 
     /** The collected trace. */
     const Trace &trace() const { return trace_; }
 
-    /** Drop all collected records (layer interning is kept). */
-    void clearTrace() { trace_.clear(); }
+    /**
+     * Drop all collected records and restart the window (layer
+     * interning is kept).
+     */
+    void
+    clearTrace()
+    {
+        trace_.clear();
+        cursor_ = Clock::now();
+    }
 
     /** Drop records and layer interning. */
     void reset();
 
   private:
+    using Clock = std::chrono::steady_clock;
+
     Profiler() = default;
 
+    /** Wall ns since the previous record; moves the cursor to now. */
+    float
+    window()
+    {
+        const Clock::time_point now = Clock::now();
+        const float ns =
+            std::chrono::duration<float, std::nano>(now - cursor_).count();
+        cursor_ = now;
+        return ns;
+    }
+
     bool enabled_ = false;
+    Clock::time_point cursor_{};
     Phase phase_ = Phase::Other;
     int16_t layer_ = -1;
     Trace trace_;
@@ -126,29 +151,19 @@ class PhaseScope
 {
   public:
     explicit PhaseScope(Phase phase)
-        : prev_(Profiler::instance().phase()), cur_(phase),
+        : prev_(Profiler::instance().phase()),
           span_((Profiler::instance().setPhase(phase),
                  phaseName(phase)))
     {
-        // Close the predecessor's hwprof window at the boundary so
-        // inter-kernel time is booked to the phase that spent it.
-        if (hwprof::enabled())
-            hwprof::onPhaseBoundary(prev_);
     }
 
-    ~PhaseScope()
-    {
-        if (hwprof::enabled())
-            hwprof::onPhaseBoundary(cur_);
-        Profiler::instance().setPhase(prev_);
-    }
+    ~PhaseScope() { Profiler::instance().setPhase(prev_); }
 
     PhaseScope(const PhaseScope &) = delete;
     PhaseScope &operator=(const PhaseScope &) = delete;
 
   private:
     Phase prev_;
-    Phase cur_;
     HostSpan span_;
 };
 

@@ -62,6 +62,7 @@ struct KernelRecord
     double bytes;        ///< bytes read + written by the kernel
     Phase phase;         ///< phase active when the kernel was launched
     int16_t layer;       ///< layer-scope id, -1 when outside any layer
+    float wallNs = 0.0f; ///< host wall ns since the previous record
 };
 
 /** A host-side operation observed during real execution. */
@@ -73,6 +74,7 @@ struct HostRecord
     double items;        ///< item count (per-item overheads, e.g. graphs)
     Phase phase;         ///< phase active when the op ran
     int16_t layer;       ///< layer-scope id, -1 when outside any layer
+    float wallNs = 0.0f; ///< host wall ns since the previous record
 };
 
 /**

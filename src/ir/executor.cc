@@ -245,6 +245,11 @@ execute(OpGraph &g, const std::vector<FusionGroup> &groups)
             g.nodes[static_cast<std::size_t>(grp.nodeIds.front())];
         prof.setPhase(head.phase);
         prof.setLayer(head.layer);
+        for (int32_t id : grp.nodeIds) {
+            Value &out = g.values[static_cast<std::size_t>(
+                g.nodes[static_cast<std::size_t>(id)].out)];
+            out.tensor = Tensor(out.shape, out.device);
+        }
         if (grp.nodeIds.size() == 1)
             executeSingle(g, head);
         else

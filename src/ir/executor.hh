@@ -22,10 +22,10 @@ namespace gnnperf {
 namespace ir {
 
 /**
- * Execute every group in order, filling each node output's tensor.
- * planAllocations(g) must have run first. Profiler phase/layer are
- * restamped per group from record-time values so the trace attributes
- * deferred launches to the layer that recorded them.
+ * Execute every group in order, allocating each node output's tensor
+ * just before its group runs, outside the parallel region. Profiler
+ * phase/layer are restamped per group from record-time values so the
+ * trace attributes deferred launches to the layer that recorded them.
  */
 void execute(OpGraph &g, const std::vector<FusionGroup> &groups);
 

@@ -9,7 +9,6 @@
 #include "ir/executor.hh"
 #include "ir/fusion.hh"
 #include "ir/op_graph.hh"
-#include "ir/planner.hh"
 #include "obs/stats.hh"
 
 namespace gnnperf {
@@ -285,7 +284,6 @@ materializeAll()
         saved.inc(s);
     }
 
-    planAllocations(g);
     execute(g, groups);
 
     // Deliver every output to its consumer, then drop the segment.

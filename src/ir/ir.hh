@@ -8,15 +8,13 @@
  * training iteration into an OpGraph (nodes = kernel launches with
  * their cost-model descriptors, edges = tensor def/use) and defer
  * execution until a recorded value is actually read. A flush then
- * runs three phases over the pending segment:
+ * runs two phases over the pending segment:
  *
  *   1. fusion (src/ir/fusion.hh): maximal gather→elementwise→scatter
  *      chains collapse into single registered fused launches;
- *   2. memory planning (src/ir/planner.hh): every node output of the
- *      segment is placed through the active device allocator before
- *      any kernel runs;
- *   3. execution (src/ir/executor.hh): fused groups run as one
- *      ThreadPool launch each, singleton nodes replay through the
+ *   2. execution (src/ir/executor.hh): each group's outputs are
+ *      allocated just before it runs, then fused groups run as one
+ *      ThreadPool launch each and singleton nodes replay through the
  *      exact eager `Into` kernels — graph mode is bit-identical to
  *      eager at every thread width.
  *

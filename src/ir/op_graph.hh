@@ -1,8 +1,8 @@
 /**
  * @file
  * The recorded op graph's internal representation, shared by the
- * recorder (ir.cc), the fusion pass, the memory planner and the
- * executor. Consumers outside src/ir use only ir.hh.
+ * recorder (ir.cc), the fusion pass and the executor. Consumers
+ * outside src/ir use only ir.hh.
  *
  * Values and nodes live in parallel arrays indexed by int32 ids;
  * record order is program order, hence topological.
@@ -35,14 +35,14 @@ enum class OpKind
 /**
  * One tensor in the recorded segment: an external input captured at
  * record time (shared storage, no copy) or a node output materialized
- * by the planner during the flush.
+ * by the executor during the flush.
  */
 struct Value
 {
     std::vector<int64_t> shape;
     DeviceKind device = DeviceKind::Cuda;
     Tensor tensor;                      ///< set for externals at record,
-                                        ///< for outputs by the planner
+                                        ///< for outputs by the executor
     int32_t producer = -1;              ///< producing node, -1 = external
     std::function<void(Tensor)> sink;   ///< consumer callback (outputs)
 

@@ -9,7 +9,6 @@
 #include "device/cost_model.hh"
 #include "device/profiler.hh"
 #include "device/trace_export.hh"
-#include "obs/hwprof.hh"
 #include "obs/memtrace.hh"
 #include "obs/spans.hh"
 
@@ -17,11 +16,10 @@ namespace gnnperf {
 
 namespace {
 
-// Process ids of the four track groups in the merged file.
+// Process ids of the three track groups in the merged file.
 constexpr int kSimPid = 1;
 constexpr int kHostPid = 2;
 constexpr int kMemPid = 3;
-constexpr int kProfPid = 4;
 
 // pid-3 thread ids: one row of markers per device.
 constexpr int kCudaTid = 1;
@@ -145,63 +143,6 @@ appendMemoryTrack(std::string &out)
     }
 }
 
-/**
- * Append the pid-4 hardware-counter tracks: one cumulative counter
- * point per phase boundary. Emitted only when hwprof collected
- * samples, so hwprof-off traces are unchanged.
- */
-void
-appendHwprofTrack(std::string &out)
-{
-    if (!hwprof::enabled())
-        return;
-    const hwprof::Snapshot snap = hwprof::snapshot();
-    if (snap.series.empty())
-        return;
-
-    out += ",\n" + chromeProcessName(
-                       kProfPid,
-                       strprintf("gnnperf hw counters (%s tier)",
-                                 hwprof::tierName(snap.tier)));
-    out += ",\n" + chromeThreadName(kProfPid, 1, "counters");
-    out += ",\n" + chromeThreadName(kProfPid, 2, "rss");
-
-    for (const hwprof::TimedSample &ts : snap.series) {
-        if (snap.tier == hwprof::Tier::Hardware) {
-            out += strprintf(
-                ",\n{\"name\":\"hwprof.counters\",\"ph\":\"C\","
-                "\"pid\":%d,\"tid\":1,\"ts\":%.3f,"
-                "\"args\":{\"cycles\":%llu,\"instructions\":%llu,"
-                "\"cache_misses\":%llu}}",
-                kProfPid, ts.tsUs,
-                static_cast<unsigned long long>(
-                    ts.total[hwprof::kCycles]),
-                static_cast<unsigned long long>(
-                    ts.total[hwprof::kInstructions]),
-                static_cast<unsigned long long>(
-                    ts.total[hwprof::kCacheMisses]));
-        }
-        out += strprintf(
-            ",\n{\"name\":\"hwprof.faults\",\"ph\":\"C\","
-            "\"pid\":%d,\"tid\":1,\"ts\":%.3f,"
-            "\"args\":{\"minor\":%llu,\"major\":%llu,"
-            "\"ctx_switches\":%llu}}",
-            kProfPid, ts.tsUs,
-            static_cast<unsigned long long>(
-                ts.total[hwprof::kMinorFaults]),
-            static_cast<unsigned long long>(
-                ts.total[hwprof::kMajorFaults]),
-            static_cast<unsigned long long>(
-                ts.total[hwprof::kCtxSwitchesVol] +
-                ts.total[hwprof::kCtxSwitchesInvol]));
-        out += strprintf(
-            ",\n{\"name\":\"hwprof.rss\",\"ph\":\"C\","
-            "\"pid\":%d,\"tid\":2,\"ts\":%.3f,"
-            "\"args\":{\"bytes\":%zu}}",
-            kProfPid, ts.tsUs, ts.rssBytes);
-    }
-}
-
 /** One table section for a peak snapshot. */
 void
 addPeakRows(TextTable &table, const char *which,
@@ -300,7 +241,6 @@ ExecTrace::toJson() const
     }
     appendHostSpans(out);
     appendMemoryTrack(out);
-    appendHwprofTrack(out);
     out += "\n],\n";
 
     {

@@ -44,8 +44,6 @@ memEventName(MemEventKind kind)
         return "reset_peak";
       case MemEventKind::GuardViolation:
         return "guard_violation";
-      case MemEventKind::Plan:
-        return "plan";
     }
     return "?";
 }
@@ -157,15 +155,6 @@ MemTracer::onGuardViolation(DeviceKind device,
     std::lock_guard<std::mutex> lock(mu_);
     pushEvent(device, MemEventKind::GuardViolation, block->traceId,
               offset);
-}
-
-void
-MemTracer::onPlan(DeviceKind device, std::size_t bytes)
-{
-    if (!enabled())
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    pushEvent(device, MemEventKind::Plan, 0, bytes);
 }
 
 void

@@ -55,11 +55,10 @@ enum class MemEventKind : uint8_t {
     EmptyCache,  ///< emptyCache() returned every free segment
     ResetPeak,   ///< peak accounting was reset (new measure window)
     GuardViolation,  ///< redzone/poison corruption (checked builds)
-    Plan,        ///< IR memory planner pre-placed a segment (src/ir)
 };
 
 /** Number of distinct memory-event kinds. */
-constexpr int kNumMemEventKinds = 9;
+constexpr int kNumMemEventKinds = 8;
 
 /** Human-readable event-kind name ("alloc", "reset_peak", …). */
 const char *memEventName(MemEventKind kind);
@@ -155,14 +154,6 @@ class MemTracer
 
     /** DeviceManager::resetPeak hook: emit a window marker. */
     void onResetPeak(DeviceKind device);
-
-    /**
-     * The IR memory planner pre-placed `bytes` of recorded-segment
-     * outputs through the device's allocator (src/ir/planner.cc).
-     * Levels are unchanged by the marker itself — the constituent
-     * Alloc events carry them — so peak windows are unaffected.
-     */
-    void onPlan(DeviceKind device, std::size_t bytes);
 
     /**
      * The allocator guard layer found a torn canary/poison byte in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/buildinfo.hh"
 #include "common/string_utils.hh"
@@ -43,35 +44,27 @@ classifyKernel(const KernelRecord &k, const CostModel &model,
     return b;
 }
 
-double
-MeasuredGroup::ipc() const
+std::optional<BoundClass>
+measuredBound(double flops, double bytes, double wall_seconds,
+              const HostPeaks &peaks)
 {
-    return cycles > 0.0 ? instructions / cycles : 0.0;
-}
-
-double
-MeasuredGroup::missRate() const
-{
-    return cacheRefs > 0.0 ? cacheMisses / cacheRefs : 0.0;
-}
-
-BoundClass
-measuredBound(const MeasuredGroup &m)
-{
-    if (m.windows <= 0.0 ||
-        m.instructions / m.windows < kMeasuredDispatchInstrPerWindow)
+    if (wall_seconds <= 0.0 || peaks.gemmFlopsPerSec <= 0.0 ||
+        peaks.triadBytesPerSec <= 0.0)
+        return std::nullopt;
+    const double compute = flops / peaks.gemmFlopsPerSec;
+    const double memory = bytes / peaks.triadBytesPerSec;
+    const double work = std::max(compute, memory);
+    if (work < wall_seconds - work)
         return BoundClass::Dispatch;
-    if (m.missRate() >= kMeasuredBandwidthMissRate)
-        return BoundClass::Bandwidth;
-    return BoundClass::Compute;
+    return compute >= memory ? BoundClass::Compute : BoundClass::Bandwidth;
 }
 
 const char *
-agreementVerdict(BoundClass modeled, const MeasuredGroup &m)
+agreementVerdict(BoundClass modeled, std::optional<BoundClass> measured)
 {
-    if (!m.valid || !m.hw)
+    if (!measured)
         return "n/a";
-    return measuredBound(m) == modeled ? "agree" : "disagree";
+    return *measured == modeled ? "agree" : "disagree";
 }
 
 double
@@ -119,9 +112,9 @@ RooflineReport::achievedBandwidthFraction() const
 
 RooflineAnalyzer::RooflineAnalyzer(const CostModel &model,
                                    double dispatch_overhead,
-                                   std::string label)
+                                   std::string label, HostPeaks peaks)
     : model_(model), dispatch_(dispatch_overhead),
-      label_(std::move(label))
+      label_(std::move(label)), peaks_(peaks)
 {
     total_.name = "total";
 }
@@ -138,6 +131,7 @@ addKernelTo(RooflineGroup &g, const KernelRecord &k,
     g.gpuSeconds += b.gpuSeconds;
     g.dispatchSeconds += b.dispatchSeconds;
     g.elapsedSeconds += frontier_delta;
+    g.wallSeconds += k.wallNs * 1e-9;
     g.boundSeconds[static_cast<int>(b.cls)] +=
         b.gpuSeconds + b.dispatchSeconds;
     ++g.boundLaunches[static_cast<int>(b.cls)];
@@ -161,6 +155,7 @@ RooflineAnalyzer::addTrace(const Trace &trace,
         [&](const RecordTiming &rt) {
             if (rt.entry.isKernel) {
                 const KernelRecord &k = rt.entry.kernel;
+                wall_ += k.wallNs * 1e-9;
                 const KernelBound b =
                     classifyKernel(k, model_, dispatch_);
                 addKernelTo(total_, k, b, rt.frontierDelta);
@@ -179,6 +174,8 @@ RooflineAnalyzer::addTrace(const Trace &trace,
                 addKernelTo(pg, k, b, rt.frontierDelta);
             } else {
                 const HostRecord &h = rt.entry.host;
+                const double wall = h.wallNs * 1e-9;
+                wall_ += wall;
                 HostOpGroup &hg =
                     byHostOp_[static_cast<int>(h.kind)];
                 if (hg.name.empty())
@@ -188,16 +185,19 @@ RooflineAnalyzer::addTrace(const Trace &trace,
                 hg.items += h.items;
                 hg.seconds += rt.duration;
                 hg.elapsedSeconds += rt.frontierDelta;
+                hg.wallSeconds += wall;
 
                 // Host ops still advance the frontier inside a layer
                 // or phase; charge them so the shares sum to 100%.
                 RooflineGroup &lg = byLayer_[layerKey(h.layer)];
                 lg.name = layerKey(h.layer);
                 lg.elapsedSeconds += rt.frontierDelta;
+                lg.wallSeconds += wall;
                 RooflineGroup &pg =
                     byPhase_[static_cast<int>(h.phase)];
                 pg.name = phaseName(h.phase);
                 pg.elapsedSeconds += rt.frontierDelta;
+                pg.wallSeconds += wall;
             }
         });
 
@@ -219,6 +219,8 @@ RooflineAnalyzer::report() const
     r.elapsed = elapsed_;
     r.gpuBusy = gpuBusy_;
     r.hostBusy = hostBusy_;
+    r.wall = wall_;
+    r.peaks = peaks_;
     r.hostThreads = par::ThreadPool::instance().numThreads();
     r.hostParallelSpeedup = model_.parallel.speedup(r.hostThreads);
     r.total = total_;
@@ -231,81 +233,6 @@ RooflineAnalyzer::report() const
     for (const auto &[idx, g] : byHostOp_)
         r.byHostOp.push_back(g);
     return r;
-}
-
-namespace {
-
-MeasuredGroup
-toMeasured(const hwprof::Agg &a)
-{
-    MeasuredGroup m;
-    if (a.windows == 0)
-        return m;
-    m.valid = true;
-    m.hw = a.hwValid;
-    m.windows = static_cast<double>(a.windows);
-    m.instructions = static_cast<double>(a.sum[hwprof::kInstructions]);
-    m.cycles = static_cast<double>(a.sum[hwprof::kCycles]);
-    m.cacheRefs = static_cast<double>(a.sum[hwprof::kCacheRefs]);
-    m.cacheMisses = static_cast<double>(a.sum[hwprof::kCacheMisses]);
-    m.branchMisses =
-        static_cast<double>(a.sum[hwprof::kBranchMisses]);
-    m.stalledCycles =
-        static_cast<double>(a.sum[hwprof::kStalledCycles]);
-    m.minorFaults = static_cast<double>(a.sum[hwprof::kMinorFaults]);
-    m.majorFaults = static_cast<double>(a.sum[hwprof::kMajorFaults]);
-    m.ctxSwitchesVol =
-        static_cast<double>(a.sum[hwprof::kCtxSwitchesVol]);
-    m.ctxSwitchesInvol =
-        static_cast<double>(a.sum[hwprof::kCtxSwitchesInvol]);
-    return m;
-}
-
-void
-attachByName(std::vector<RooflineGroup> &groups,
-             const std::vector<std::pair<std::string, hwprof::Agg>>
-                 &aggs)
-{
-    for (auto &g : groups) {
-        for (const auto &kv : aggs) {
-            if (kv.first == g.name) {
-                g.measured = toMeasured(kv.second);
-                break;
-            }
-        }
-    }
-}
-
-} // namespace
-
-void
-attachMeasuredCounters(RooflineReport &report,
-                       const hwprof::Snapshot &snap)
-{
-    if (snap.tier == hwprof::Tier::Off || snap.total.windows == 0)
-        return;
-    report.hwprofTier = snap.tier;
-    report.hwprofTierReason = snap.tierReason;
-    report.total.measured = toMeasured(snap.total);
-    attachByName(report.byKernel, snap.byKernel);
-    attachByName(report.byLayer, snap.byLayer);
-    for (auto &g : report.byPhase) {
-        for (int p = 0; p < kNumPhases; ++p) {
-            if (g.name == phaseName(static_cast<Phase>(p))) {
-                g.measured = toMeasured(
-                    snap.byPhase[static_cast<std::size_t>(p)]);
-                break;
-            }
-        }
-    }
-}
-
-void
-attachMeasuredCounters(RooflineReport &report)
-{
-    if (!hwprof::enabled())
-        return;
-    attachMeasuredCounters(report, hwprof::snapshot());
 }
 
 RooflineReport
@@ -332,9 +259,15 @@ num(double v)
     return strprintf("%.9g", v);
 }
 
+double
+ratio(double a, double b)
+{
+    return b > 0.0 ? a / b : 0.0;
+}
+
 void
 appendGroupJson(std::string &out, const RooflineGroup &g,
-                double elapsed, int indent)
+                const RooflineReport &r, int indent)
 {
     const std::string pad(static_cast<std::size_t>(indent), ' ');
     out += strprintf(
@@ -346,7 +279,7 @@ appendGroupJson(std::string &out, const RooflineGroup &g,
         num(g.bytes).c_str(), pad.c_str(), num(g.gpuSeconds).c_str(),
         num(g.dispatchSeconds).c_str(),
         num(g.elapsedSeconds).c_str(), pad.c_str(),
-        num(elapsed > 0.0 ? g.elapsedSeconds / elapsed : 0.0).c_str(),
+        num(ratio(g.elapsedSeconds, r.elapsed)).c_str(),
         num(g.intensity()).c_str(), pad.c_str(),
         boundClassName(g.dominantBound()));
     out += strprintf(",\n%s\"bound_shares\": {", pad.c_str());
@@ -357,37 +290,24 @@ appendGroupJson(std::string &out, const RooflineGroup &g,
             num(g.boundShare(static_cast<BoundClass>(c))).c_str());
     }
     out += "}";
-    // Measured counters, only when the run carried them: hwprof-off
-    // output stays byte-identical.
-    if (g.measured.valid) {
-        const MeasuredGroup &m = g.measured;
-        out += strprintf(
-            ",\n%s\"hwprof\": {\"windows\": %s, "
-            "\"instructions\": %s, \"cycles\": %s,\n"
-            "%s  \"cache_refs\": %s, \"cache_misses\": %s, "
-            "\"branch_misses\": %s, \"stalled_cycles\": %s,\n"
-            "%s  \"minor_faults\": %s, \"major_faults\": %s, "
-            "\"ctx_switches_vol\": %s, \"ctx_switches_invol\": %s,\n"
-            "%s  \"ipc\": %s, \"miss_rate\": %s, "
-            "\"measured_bound\": \"%s\", \"agreement\": \"%s\"}",
-            pad.c_str(), num(m.windows).c_str(),
-            num(m.instructions).c_str(), num(m.cycles).c_str(),
-            pad.c_str(), num(m.cacheRefs).c_str(),
-            num(m.cacheMisses).c_str(), num(m.branchMisses).c_str(),
-            num(m.stalledCycles).c_str(), pad.c_str(),
-            num(m.minorFaults).c_str(), num(m.majorFaults).c_str(),
-            num(m.ctxSwitchesVol).c_str(),
-            num(m.ctxSwitchesInvol).c_str(), pad.c_str(),
-            num(m.ipc()).c_str(), num(m.missRate()).c_str(),
-            m.hw ? boundClassName(measuredBound(m)) : "n/a",
-            agreementVerdict(g.dominantBound(), m));
-    }
-    out += "}";
+    const std::optional<BoundClass> m =
+        measuredBound(g.flops, g.bytes, g.wallSeconds, r.peaks);
+    out += strprintf(
+        ",\n%s\"measured\": {\"wall_s\": %s, \"wall_share\": %s, "
+        "\"flops_per_s\": %s, \"bytes_per_s\": %s,\n"
+        "%s  \"bound\": \"%s\", \"verdict\": \"%s\"}}",
+        pad.c_str(), num(g.wallSeconds).c_str(),
+        num(ratio(g.wallSeconds, r.wall)).c_str(),
+        num(ratio(g.flops, g.wallSeconds)).c_str(),
+        num(ratio(g.bytes, g.wallSeconds)).c_str(), pad.c_str(),
+        m ? boundClassName(*m) : "n/a",
+        agreementVerdict(g.dominantBound(), m));
 }
 
 void
 appendGroupMap(std::string &out, const char *key,
-               const std::vector<RooflineGroup> &groups, double elapsed)
+               const std::vector<RooflineGroup> &groups,
+               const RooflineReport &r)
 {
     out += strprintf("  \"%s\": {", key);
     bool first = true;
@@ -395,7 +315,7 @@ appendGroupMap(std::string &out, const char *key,
         out += first ? "\n" : ",\n";
         first = false;
         out += strprintf("    \"%s\": ", jsonEscape(g.name).c_str());
-        appendGroupJson(out, g, elapsed, 6);
+        appendGroupJson(out, g, r, 6);
     }
     out += "\n  }";
 }
@@ -432,26 +352,19 @@ rooflineReportToJson(const RooflineReport &r)
         num(r.utilization()).c_str(), num(r.total.intensity()).c_str(),
         num(r.achievedFlopsFraction()).c_str(),
         num(r.achievedBandwidthFraction()).c_str());
-    if (r.hwprofTier != hwprof::Tier::Off) {
-        // Thresholds ride along so gnnperf_prof check re-derives the
-        // measured_bound/agreement verdicts from the file itself.
-        out += strprintf(
-            "  \"hwprof\": {\"tier\": \"%s\", \"reason\": \"%s\",\n"
-            "    \"thresholds\": {\"bandwidth_miss_rate\": %s, "
-            "\"dispatch_instructions_per_window\": %s}},\n",
-            hwprof::tierName(r.hwprofTier),
-            jsonEscape(r.hwprofTierReason).c_str(),
-            num(kMeasuredBandwidthMissRate).c_str(),
-            num(kMeasuredDispatchInstrPerWindow).c_str());
-    }
+    out += strprintf(
+        "  \"measured\": {\"wall_s\": %s, \"gemm_flops_per_s\": %s, "
+        "\"triad_bytes_per_s\": %s},\n",
+        num(r.wall).c_str(), num(r.peaks.gemmFlopsPerSec).c_str(),
+        num(r.peaks.triadBytesPerSec).c_str());
     out += "  \"total\": ";
-    appendGroupJson(out, r.total, r.elapsed, 4);
+    appendGroupJson(out, r.total, r, 4);
     out += ",\n";
-    appendGroupMap(out, "kernels", r.byKernel, r.elapsed);
+    appendGroupMap(out, "kernels", r.byKernel, r);
     out += ",\n";
-    appendGroupMap(out, "layers", r.byLayer, r.elapsed);
+    appendGroupMap(out, "layers", r.byLayer, r);
     out += ",\n";
-    appendGroupMap(out, "phases", r.byPhase, r.elapsed);
+    appendGroupMap(out, "phases", r.byPhase, r);
     out += ",\n  \"host_ops\": {";
     bool first = true;
     for (const auto &h : r.byHostOp) {
@@ -459,11 +372,13 @@ rooflineReportToJson(const RooflineReport &r)
         first = false;
         out += strprintf(
             "    \"%s\": {\"ops\": %zu, \"bytes\": %s, "
-            "\"items\": %s, \"seconds\": %s, \"elapsed_share\": %s}",
+            "\"items\": %s, \"seconds\": %s, \"elapsed_share\": %s,\n"
+            "      \"measured\": {\"wall_s\": %s, \"wall_share\": %s}}",
             jsonEscape(h.name).c_str(), h.ops, num(h.bytes).c_str(),
             num(h.items).c_str(), num(h.seconds).c_str(),
-            num(r.elapsed > 0.0 ? h.elapsedSeconds / r.elapsed : 0.0)
-                .c_str());
+            num(ratio(h.elapsedSeconds, r.elapsed)).c_str(),
+            num(h.wallSeconds).c_str(),
+            num(ratio(h.wallSeconds, r.wall)).c_str());
     }
     out += "\n  }\n}\n";
     return out;
@@ -498,24 +413,38 @@ rooflineSuiteToJson(const std::vector<RooflineReport> &suite)
     return out;
 }
 
+namespace {
+
+/** Wall(ms), Wall%, GF/s, GB/s, Measured, Verdict for one group. */
+void
+appendMeasuredCells(std::vector<std::string> &row, const RooflineGroup &g,
+                    const RooflineReport &r)
+{
+    const std::optional<BoundClass> m =
+        measuredBound(g.flops, g.bytes, g.wallSeconds, r.peaks);
+    row.push_back(strprintf("%.3f", g.wallSeconds * 1e3));
+    row.push_back(strprintf("%.1f", ratio(g.wallSeconds, r.wall) * 100.0));
+    row.push_back(strprintf("%.2f", ratio(g.flops, g.wallSeconds) / 1e9));
+    row.push_back(strprintf("%.2f", ratio(g.bytes, g.wallSeconds) / 1e9));
+    row.push_back(m ? boundClassName(*m) : "n/a");
+    row.push_back(agreementVerdict(g.dominantBound(), m));
+}
+
+const char *const kMeasuredHeader[] = {">Wall(ms)", ">Wall%", ">GF/s",
+                                       ">GB/s", "Measured", "Verdict"};
+
+} // namespace
+
 std::string
 renderRooflineTable(const std::vector<RooflineReport> &suite)
 {
-    // Measured columns appear only when at least one report carries
-    // hwprof counters, so the table is unchanged on hwprof-off runs.
-    bool measured = false;
-    for (const auto &r : suite)
-        measured = measured || r.total.measured.valid;
     TextTable table;
     std::vector<std::string> header = {
         "Config", ">Elapsed(ms)", ">Util%", ">AI(F/B)", ">Peak-F%",
         ">Peak-BW%", ">Comp%", ">BW%", ">Disp%", ">Kernels",
         ">HostThr", ">HostSpd"};
-    if (measured) {
-        header.push_back(">M-IPC");
-        header.push_back(">M-Miss%");
-        header.push_back("HWTier");
-    }
+    header.insert(header.end(), std::begin(kMeasuredHeader),
+                  std::end(kMeasuredHeader));
     table.setHeader(header);
     for (const auto &r : suite) {
         std::vector<std::string> row = {
@@ -535,16 +464,7 @@ renderRooflineTable(const std::vector<RooflineReport> &suite)
             strprintf("%zu", r.total.launches),
             strprintf("%d", r.hostThreads),
             strprintf("%.2fx", r.hostParallelSpeedup)};
-        if (measured) {
-            const MeasuredGroup &m = r.total.measured;
-            row.push_back(m.valid && m.hw
-                              ? strprintf("%.2f", m.ipc())
-                              : "-");
-            row.push_back(m.valid && m.hw
-                              ? strprintf("%.1f", m.missRate() * 100.0)
-                              : "-");
-            row.push_back(hwprof::tierName(r.hwprofTier));
-        }
+        appendMeasuredCells(row, r.total, r);
         table.addRow(row);
     }
     return table.render();
@@ -553,17 +473,12 @@ renderRooflineTable(const std::vector<RooflineReport> &suite)
 std::string
 renderRooflineKernels(const RooflineReport &r)
 {
-    const bool measured = r.total.measured.valid;
     TextTable table;
     std::vector<std::string> header = {"Kernel", ">Launches",
                                        ">GPU(ms)", ">AI(F/B)",
                                        "Bound", ">Elapsed%"};
-    if (measured) {
-        header.push_back(">M-IPC");
-        header.push_back(">M-Miss%");
-        header.push_back("Measured");
-        header.push_back("Verdict");
-    }
+    header.insert(header.end(), std::begin(kMeasuredHeader),
+                  std::end(kMeasuredHeader));
     table.setHeader(header);
     // Heaviest kernels first.
     std::vector<const RooflineGroup *> order;
@@ -579,20 +494,8 @@ renderRooflineKernels(const RooflineReport &r)
             strprintf("%.3f", g->gpuSeconds * 1e3),
             strprintf("%.2f", g->intensity()),
             boundClassName(g->dominantBound()),
-            strprintf("%.1f",
-                      r.elapsed > 0.0
-                          ? g->elapsedSeconds / r.elapsed * 100.0
-                          : 0.0)};
-        if (measured) {
-            const MeasuredGroup &m = g->measured;
-            const bool hw = m.valid && m.hw;
-            row.push_back(hw ? strprintf("%.2f", m.ipc()) : "-");
-            row.push_back(
-                hw ? strprintf("%.1f", m.missRate() * 100.0) : "-");
-            row.push_back(hw ? boundClassName(measuredBound(m))
-                             : "n/a");
-            row.push_back(agreementVerdict(g->dominantBound(), m));
-        }
+            strprintf("%.1f", ratio(g->elapsedSeconds, r.elapsed) * 100.0)};
+        appendMeasuredCells(row, *g, r);
         table.addRow(row);
     }
     return table.render();

@@ -21,6 +21,11 @@
  * JSON, diffable across runs by obs/diff.hh. This is the
  * operation-level bottleneck attribution of Hosseini et al. and Huang
  * et al. applied to the simulated deployment.
+ *
+ * The same groups also sum each record's measured window (the host
+ * wall time since the previous record, device/profiler.hh) and judge
+ * it against two host peaks with the rule classifyKernel uses, so the
+ * measured and modeled class of a group come from one trace.
  */
 
 #ifndef GNNPERF_OBS_ROOFLINE_HH
@@ -29,13 +34,13 @@
 #include <array>
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "device/cost_model.hh"
 #include "device/timeline.hh"
 #include "device/trace.hh"
-#include "obs/hwprof.hh"
 
 namespace gnnperf {
 
@@ -70,59 +75,32 @@ KernelBound classifyKernel(const KernelRecord &k, const CostModel &model,
                            double dispatch_overhead);
 
 /**
- * Measured hardware/OS counters attached to a roofline group — the
- * empirical sibling of the modeled classification. Filled from an
- * hwprof snapshot by attachMeasuredCounters; `valid` stays false on
- * hwprof-off runs so exporters can skip the block entirely.
+ * Host peaks the measured windows are judged against, measured once
+ * per process at the pool width (core/experiment.hh hostPeaks()).
  */
-struct MeasuredGroup
+struct HostPeaks
 {
-    bool valid = false;
-    /// True when the windows carried real PMU readings (hardware
-    /// tier); IPC/miss-rate are meaningless otherwise.
-    bool hw = false;
-    double windows = 0.0;
-    double instructions = 0.0;
-    double cycles = 0.0;
-    double cacheRefs = 0.0;
-    double cacheMisses = 0.0;
-    double branchMisses = 0.0;
-    double stalledCycles = 0.0;
-    double minorFaults = 0.0;
-    double majorFaults = 0.0;
-    double ctxSwitchesVol = 0.0;
-    double ctxSwitchesInvol = 0.0;
-
-    /** Measured instructions per cycle (0 when cycles == 0). */
-    double ipc() const;
-
-    /** Measured cache miss rate (0 when no references). */
-    double missRate() const;
+    double gemmFlopsPerSec = 0.0;   ///< selected GEMM build
+    double triadBytesPerSec = 0.0;  ///< STREAM triad over host buffers
 };
 
 /**
- * Measured-classification thresholds, mirrored into the roofline
- * JSON so `gnnperf_prof check` re-derives verdicts from the file
- * instead of trusting a possibly-drifted constant.
+ * Measured bound class, the host mirror of classifyKernel: work is
+ * max(flops / GEMM peak, bytes / triad peak). Dispatch when work <
+ * wall - work, i.e. the group runs below both roofs; otherwise the
+ * larger term picks Compute or Bandwidth. Empty when there is nothing
+ * to judge: no wall time or no peaks.
  */
-constexpr double kMeasuredBandwidthMissRate = 0.30;
-constexpr double kMeasuredDispatchInstrPerWindow = 20e3;
+std::optional<BoundClass> measuredBound(double flops, double bytes,
+                                        double wall_seconds,
+                                        const HostPeaks &peaks);
 
 /**
- * Empirical bound class: too few instructions per launch window to
- * amortize anything -> Dispatch; cache miss rate at or above
- * kMeasuredBandwidthMissRate -> Bandwidth; else Compute. Only
- * meaningful when the group is hardware-tier.
- */
-BoundClass measuredBound(const MeasuredGroup &m);
-
-/**
- * Modeled-vs-measured agreement verdict: "agree"/"disagree" when the
- * group carries hardware-tier counters, "n/a" otherwise (software
- * tier has no IPC/miss-rate to judge with).
+ * Modeled-vs-measured verdict: "agree" / "disagree", or "n/a" when
+ * the group has no measured class.
  */
 const char *agreementVerdict(BoundClass modeled,
-                             const MeasuredGroup &m);
+                             std::optional<BoundClass> measured);
 
 /** Aggregated kernel-side attribution for one grouping key. */
 struct RooflineGroup
@@ -135,6 +113,8 @@ struct RooflineGroup
     double dispatchSeconds = 0.0;
     /** Elapsed (frontier) seconds attributed to this group. */
     double elapsedSeconds = 0.0;
+    /** Measured host wall seconds: the group's summed windows. */
+    double wallSeconds = 0.0;
     /** (GPU + dispatch) seconds per bound class. */
     std::array<double, kNumBoundClasses> boundSeconds{};
     std::array<std::size_t, kNumBoundClasses> boundLaunches{};
@@ -147,9 +127,6 @@ struct RooflineGroup
 
     /** Dominant bound class by time (Dispatch when empty). */
     BoundClass dominantBound() const;
-
-    /** Measured counters for this group (valid only with --hwprof). */
-    MeasuredGroup measured;
 };
 
 /** Aggregated host-op attribution for one HostOpKind. */
@@ -161,6 +138,7 @@ struct HostOpGroup
     double items = 0.0;
     double seconds = 0.0;         ///< priced host execution time
     double elapsedSeconds = 0.0;  ///< frontier seconds attributed
+    double wallSeconds = 0.0;     ///< measured windows, summed
 };
 
 /** Full attribution report for one run (e.g. one model × backend). */
@@ -177,6 +155,9 @@ struct RooflineReport
     double elapsed = 0.0;      ///< simulated wall-clock seconds
     double gpuBusy = 0.0;
     double hostBusy = 0.0;
+    double wall = 0.0;         ///< measured seconds: every window
+
+    HostPeaks peaks;           ///< what the measured class judges by
 
     // Host-side effective parallelism: the pool width the run executed
     // with and the speedup the cost model credits that width with
@@ -190,12 +171,6 @@ struct RooflineReport
     std::vector<RooflineGroup> byLayer;   ///< per layer scope
     std::vector<RooflineGroup> byPhase;   ///< per training phase
     std::vector<HostOpGroup> byHostOp;    ///< per HostOpKind
-
-    // Measured-counter tier the run executed under (hwprof::Tier
-    // values; Off when --hwprof was not given) and the reason the
-    // tier was chosen, quoted in reports so a fallback run says so.
-    hwprof::Tier hwprofTier = hwprof::Tier::Off;
-    std::string hwprofTierReason;
 
     /** GPU compute utilization (paper Eq. 5). */
     double
@@ -227,7 +202,7 @@ class RooflineAnalyzer
 {
   public:
     RooflineAnalyzer(const CostModel &model, double dispatch_overhead,
-                     std::string label);
+                     std::string label, HostPeaks peaks = {});
 
     /** Classify and accumulate one trace (replayed internally). */
     void addTrace(const Trace &trace,
@@ -243,10 +218,12 @@ class RooflineAnalyzer
     CostModel model_;
     double dispatch_;
     std::string label_;
+    HostPeaks peaks_;
     std::size_t epochs_ = 0;
     double elapsed_ = 0.0;
     double gpuBusy_ = 0.0;
     double hostBusy_ = 0.0;
+    double wall_ = 0.0;
     RooflineGroup total_;
     std::map<std::string, RooflineGroup> byKernel_;
     std::map<std::string, RooflineGroup> byLayer_;
@@ -263,19 +240,6 @@ RooflineReport analyzeRoofline(const Trace &trace, const CostModel &model,
                                std::string label);
 
 /**
- * Merge the current hwprof aggregates into a finished report: the
- * by-kernel/layer/phase groups gain Measured counters matched by
- * name, and the report records the tier. No-op (report untouched)
- * when the profiler is off or has seen no windows, so hwprof-off
- * output is byte-identical.
- */
-void attachMeasuredCounters(RooflineReport &report);
-
-/** Same, from an explicit snapshot (testable without global state). */
-void attachMeasuredCounters(RooflineReport &report,
-                            const hwprof::Snapshot &snap);
-
-/**
  * JSON for one report (schema documented in docs/OBSERVABILITY.md).
  * Numeric leaves only, so obs/diff.hh can align any two reports by
  * dotted path.
@@ -288,7 +252,7 @@ std::string rooflineSuiteToJson(const std::vector<RooflineReport> &suite);
 /**
  * Fig-5-style utilization table: one row per report with utilization,
  * arithmetic intensity, achieved-vs-peak fractions and bound-class
- * time shares.
+ * time shares, then the measured wall, rates and class of its kernels.
  */
 std::string renderRooflineTable(const std::vector<RooflineReport> &suite);
 

@@ -6,7 +6,6 @@
 #include "common/checks.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "obs/hwprof.hh"
 #include "obs/spans.hh"
 #include "obs/stats.hh"
 #include "parallel/write_check.hh"
@@ -132,16 +131,7 @@ ThreadPool::workerMain(int worker_index)
             continue;
         t_inRegion = true;
         uint64_t tasks = 0, steals = 0;
-        // Per-thread counter slot: bracket the work so this worker's
-        // cycles/instructions land in the pending accumulator and get
-        // attributed to the kernel the caller is about to record.
-        const bool hw = hwprof::enabled();
-        hwprof::Sample hw_start;
-        if (hw)
-            hw_start = hwprof::workerBegin();
         workOn(slot, width, tasks, steals);
-        if (hw)
-            hwprof::workerEnd(hw_start);
         t_inRegion = false;
         jobTasks_.fetch_add(tasks, std::memory_order_relaxed);
         jobSteals_.fetch_add(steals, std::memory_order_relaxed);

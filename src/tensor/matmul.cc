@@ -14,8 +14,8 @@
 
 // Bit-identity with the scalar loop rests on every C element being one
 // `c = c + a * b` chain: ascending reduction index, starting from +0,
-// a rounded multiply then a rounded add. target("avx512f") enables FMA
-// and GCC would contract that pair into one vfmadd, so this file is
+// a rounded multiply then a rounded add. Any target that enables FMA
+// would let GCC contract that pair into one vfmadd, so this file is
 // compiled with -ffp-contract=off (src/CMakeLists.txt); test_gemm's
 // canary fails if contraction ever comes back.
 
@@ -65,9 +65,9 @@ scalarRows(const Problem &pr, int64_t i0, int64_t i1)
 
 // ---- SIMD engine: written once with GCC vector extensions over the
 // ISA's native vector (Isa::Vec, Isa::kLanes floats) and instantiated
-// per ISA by the flattened target wrappers below. A generic vector
-// wider than the target's registers is lowered element by element, so
-// each build must use its own width. ----
+// by the flattened target wrapper below. A generic vector wider than
+// the target's registers is lowered element by element, so a build
+// must use its own width. ----
 
 constexpr int kMr = 8;   ///< micro-tile rows (an A panel)
 constexpr int kNr = 32;  ///< micro-tile columns (a B panel)
@@ -193,10 +193,9 @@ registerTile(int64_t kd, const float *const *arow, int64_t aps,
 }
 
 /**
- * The 8×32 micro-kernel, run as the ISA's register tiles: AVX-512
- * holds the whole tile in 16 zmm accumulators, AVX2 (16 ymm registers
- * in all) runs it as four 4×16 tiles of 8 accumulators. Each C element
- * keeps its own chain, so the split changes no bits.
+ * The 8×32 micro-kernel, run as the ISA's register tiles: AVX2 (16
+ * ymm registers in all) runs it as four 4×16 tiles of 8 accumulators.
+ * Each C element keeps its own chain, so the split changes no bits.
  */
 template <class Isa>
 inline void
@@ -491,31 +490,6 @@ runChunk(const Problem &pr, const PanelsB &pb, Path path, int64_t i0,
         denseRows<Isa>(pr, pb, i0, i1);
 }
 
-struct Avx512
-{
-    typedef float Vec __attribute__((vector_size(64)));
-    typedef int32_t VecI __attribute__((vector_size(64)));
-    static constexpr int kLanes = 16;
-    /** The whole 8×32 micro-tile: 16 of the 32 zmm registers. */
-    static constexpr int kTileRows = 8;
-    static constexpr int kTileVecs = 2;
-
-    __attribute__((target("avx512f,popcnt"))) static int64_t
-    compress16(const float *x, int32_t base, float *val, int32_t *idx)
-    {
-        const __m512 v = _mm512_loadu_ps(x);
-        const __mmask16 nz =
-            _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_NEQ_UQ);
-        const __m512i lane = _mm512_add_epi32(
-            _mm512_set1_epi32(base),
-            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
-                              14, 15));
-        _mm512_storeu_ps(val, _mm512_maskz_compress_ps(nz, v));
-        _mm512_storeu_si512(idx, _mm512_maskz_compress_epi32(nz, lane));
-        return __builtin_popcount(nz);
-    }
-};
-
 struct Avx2
 {
     typedef float Vec __attribute__((vector_size(32)));
@@ -546,14 +520,7 @@ struct Avx2
 };
 
 // `flatten` inlines the generic body, and the ISA hooks it calls, into
-// each wrapper, so one source compiles to zmm and to ymm code.
-__attribute__((target("avx512f,popcnt"), flatten)) void
-chunkAvx512(const Problem &pr, const PanelsB &pb, Path path, int64_t i0,
-            int64_t i1)
-{
-    runChunk<Avx512>(pr, pb, path, i0, i1);
-}
-
+// the wrapper, so the generic source compiles to ymm code.
 __attribute__((target("avx2"), flatten)) void
 chunkAvx2(const Problem &pr, const PanelsB &pb, Path path, int64_t i0,
           int64_t i1)
@@ -582,10 +549,9 @@ launch(Op op, const Problem &pr, Isa isa, Path path)
     }
 #if defined(__x86_64__)
     const PanelsB pb = packB(pr);
-    const auto chunk = isa == Isa::Avx512 ? &chunkAvx512 : &chunkAvx2;
     par::parallelFor(name, 0, pr.n, grain,
                      [&](int64_t i0, int64_t i1, int) {
-                         chunk(pr, pb, path, i0, i1);
+                         chunkAvx2(pr, pb, path, i0, i1);
                      });
 #else
     (void)path;
@@ -605,9 +571,6 @@ supported(Isa isa)
         return true;
       case Isa::Avx2:
         return __builtin_cpu_supports("avx2");
-      case Isa::Avx512:
-        return __builtin_cpu_supports("avx512f") &&
-               __builtin_cpu_supports("popcnt");
     }
     return false;
 #else
@@ -618,13 +581,8 @@ supported(Isa isa)
 Isa
 selected()
 {
-    // AVX2 first: on a shared Sapphire Rapids host the AVX-512 build
-    // made whole training runs spread ~3× wider in CPU time (zmm code
-    // moves the core's frequency licence, which its neighbours also
-    // move) for ~12% more speed end to end (docs/CORRECTNESS.md).
-    static const Isa isa = supported(Isa::Avx2)     ? Isa::Avx2
-                           : supported(Isa::Avx512) ? Isa::Avx512
-                                                    : Isa::Scalar;
+    static const Isa isa =
+        supported(Isa::Avx2) ? Isa::Avx2 : Isa::Scalar;
     return isa;
 }
 
@@ -636,8 +594,6 @@ isaName(Isa isa)
         return "scalar";
       case Isa::Avx2:
         return "avx2";
-      case Isa::Avx512:
-        return "avx512";
     }
     return "?";
 }

@@ -4,8 +4,8 @@
  *
  * All three transposes run one blocked GEMM (matmul.cc): an 8×32
  * micro-kernel written once with GCC vector extensions and compiled
- * for AVX-512 and AVX2, chosen once per process from the CPU, with a
- * naive scalar triple loop as the fallback and the test oracle. NN and
+ * for AVX2, taken when the CPU has it, with a naive scalar triple
+ * loop as the fallback and the test oracle. NN and
  * TN keep the historical zero-skip semantics through a SIMD row-skip
  * kernel taken when A is sparse (Cora's bag-of-words features). Every
  * path is bit-identical to the scalar loop at every pool width; see
@@ -35,7 +35,7 @@ namespace gemm {
 enum class Op { NN, TN, NT };
 
 /** Instruction-set builds of the engine. */
-enum class Isa { Scalar, Avx2, Avx512 };
+enum class Isa { Scalar, Avx2 };
 
 /**
  * Kernel choice for NN/TN. Auto picks per pooled chunk from the
@@ -47,13 +47,10 @@ enum class Path { Auto, Dense, Skip };
 /** True when this CPU can run `isa` (Scalar always can). */
 bool supported(Isa isa);
 
-/**
- * What matmul* runs, probed once: AVX2 when the CPU has it (steadier
- * than AVX-512 on shared hosts), else AVX-512, else scalar.
- */
+/** What matmul* runs, probed once: AVX2 when the CPU has it, else scalar. */
 Isa selected();
 
-/** "scalar", "avx2" or "avx512". */
+/** "scalar" or "avx2". */
 const char *isaName(Isa isa);
 
 /**

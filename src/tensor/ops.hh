@@ -202,8 +202,8 @@ Tensor scatterAddRows(const Tensor &src, const std::vector<int64_t> &idx,
 
 // ----- preallocated-output (`Into`) replay variants ------------------------
 //
-// Used by the recorded-IR executor (src/ir/executor.cc): the memory
-// planner preallocates `out` ahead of the launch, and each variant runs
+// Used by the recorded-IR executor (src/ir/executor.cc): the executor
+// allocates `out` ahead of the launch, and each variant runs
 // the exact eager kernel — same parallelFor launch name, grain and
 // KernelRecord — into it, so an unfused replayed node is
 // indistinguishable from its eager counterpart.

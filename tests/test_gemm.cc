@@ -76,9 +76,8 @@ std::vector<Isa>
 simdIsas()
 {
     std::vector<Isa> isas;
-    for (Isa isa : {Isa::Avx2, Isa::Avx512})
-        if (gemm::supported(isa))
-            isas.push_back(isa);
+    if (gemm::supported(Isa::Avx2))
+        isas.push_back(Isa::Avx2);
     return isas;
 }
 
@@ -190,9 +189,8 @@ TEST(Gemm, SelectedPathIsSupported)
 {
     EXPECT_TRUE(gemm::supported(Isa::Scalar));
     EXPECT_TRUE(gemm::supported(gemm::selected()));
-    const Isa want = gemm::supported(Isa::Avx2)     ? Isa::Avx2
-                     : gemm::supported(Isa::Avx512) ? Isa::Avx512
-                                                    : Isa::Scalar;
+    const Isa want =
+        gemm::supported(Isa::Avx2) ? Isa::Avx2 : Isa::Scalar;
     EXPECT_EQ(gemm::selected(), want);
 }
 
@@ -369,8 +367,7 @@ TEST(Gemm, NoFusedMultiplyAddCanary)
         bt.data()[j * 2] = x;
         bt.data()[j * 2 + 1] = -x;
     }
-    const std::vector<Isa> isas = {Isa::Scalar, Isa::Avx2, Isa::Avx512};
-    for (Isa isa : isas) {
+    for (Isa isa : {Isa::Scalar, Isa::Avx2}) {
         if (!gemm::supported(isa))
             continue;
         for (Path path : kAllPaths) {

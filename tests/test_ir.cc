@@ -2,8 +2,8 @@
  * @file
  * Recorded op-graph IR tests (src/ir): eager-vs-graph bit-identity on
  * primitive chains, backward gradients, and the full model × backend
- * grid at serial and parallel thread widths; fusion and planner
- * counters; pending-shape queries; write-set coverage of fused
+ * grid at serial and parallel thread widths; fusion counters and
+ * graph-mode reserved peak; pending-shape queries; write-set coverage of fused
  * launches under GNNPERF_CHECKS=1.
  */
 
@@ -227,7 +227,7 @@ TEST(IrChecks, WriteSetCoversFusedLaunches)
         ASSERT_EQ(eager[i], graph[i]);
 }
 
-TEST(IrPlanner, ReservedPeakNotWorseThanEager)
+TEST(IrGraph, ReservedPeakNotWorseThanEager)
 {
     auto run = [](ir::IrMode m) {
         ModeScope mode(m);

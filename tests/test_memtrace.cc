@@ -336,11 +336,10 @@ TEST_F(MemTraceTest, EventNamesCoverEveryKind)
 {
     // Exhaustive: a new enum value must get a name and a bump of
     // kNumMemEventKinds before this passes again.
-    EXPECT_EQ(kNumMemEventKinds, 9);
+    EXPECT_EQ(kNumMemEventKinds, 8);
     const char *expected[kNumMemEventKinds] = {
         "alloc",    "free", "split",      "coalesce",
         "trim",     "empty_cache", "reset_peak", "guard_violation",
-        "plan",
     };
     for (int i = 0; i < kNumMemEventKinds; ++i) {
         EXPECT_STREQ(memEventName(static_cast<MemEventKind>(i)),

@@ -1,11 +1,13 @@
 /**
  * @file
  * Profiler and Timeline tests: phase/layer scoping, trace contents,
- * async replay semantics, attribution.
+ * measured windows, async replay semantics, attribution.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <iterator>
 #include <stdexcept>
 
 #include "device/profiler.hh"
@@ -14,6 +16,24 @@
 using namespace gnnperf;
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/** Busy-wait (no sleep, so no scheduler slack) for at least `d`. */
+void
+spin(std::chrono::microseconds d)
+{
+    const Clock::time_point end = Clock::now() + d;
+    while (Clock::now() < end) {
+    }
+}
+
+/** A trace entry's measured window in ns, kernel or host. */
+double
+windowNs(const TraceEntry &e)
+{
+    return e.isKernel ? e.kernel.wallNs : e.host.wallNs;
+}
 
 class ProfilerFixture : public ::testing::Test
 {
@@ -126,6 +146,62 @@ TEST_F(ProfilerFixture, TraceAggregates)
     EXPECT_EQ(trace.kernelCount(), 2u);
     EXPECT_DOUBLE_EQ(trace.totalFlops(), 30.0);
     EXPECT_DOUBLE_EQ(trace.totalKernelBytes(), 300.0);
+}
+
+TEST_F(ProfilerFixture, BusySpinsBoundEachWindowFromBelow)
+{
+    using std::chrono::microseconds;
+    const microseconds spins[] = {microseconds(2000), microseconds(500),
+                                  microseconds(3000), microseconds(1000)};
+    Profiler::instance().clearTrace();
+    for (std::size_t i = 0; i < std::size(spins); ++i) {
+        spin(spins[i]);
+        if (i % 2 == 0)
+            recordKernel("sgemm", 1.0, 1.0);
+        else
+            recordHost("h", HostOpKind::Memcpy, 1.0, 1.0);
+    }
+    const auto &entries = Profiler::instance().trace().entries();
+    ASSERT_EQ(entries.size(), std::size(spins));
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        EXPECT_GE(windowNs(entries[i]),
+                  std::chrono::nanoseconds(spins[i]).count())
+            << "record " << i;
+    }
+}
+
+TEST_F(ProfilerFixture, WindowsSumToTheTimeSinceTheReset)
+{
+    // Time before the clear belongs to no record of the new trace.
+    recordKernel("relu", 1.0, 1.0);
+    spin(std::chrono::microseconds(2000));
+    const Clock::time_point start = Clock::now();
+    Profiler::instance().clearTrace();
+    for (int i = 0; i < 20; ++i) {
+        spin(std::chrono::microseconds(250));
+        recordKernel("relu", 1.0, 1.0);
+    }
+    const double traced =
+        std::chrono::duration<double, std::nano>(Clock::now() - start)
+            .count();
+    double sum = 0.0;
+    for (const TraceEntry &e : Profiler::instance().trace().entries())
+        sum += windowNs(e);
+    EXPECT_NEAR(sum, traced, 0.01 * traced);
+}
+
+TEST_F(ProfilerFixture, EnablingRestartsTheWindow)
+{
+    // Time spent disabled belongs to no record.
+    Profiler &prof = Profiler::instance();
+    prof.setEnabled(false);
+    spin(std::chrono::microseconds(5000));
+    recordKernel("sgemm", 1.0, 1.0);
+    EXPECT_TRUE(prof.trace().empty());
+    prof.setEnabled(true);
+    recordKernel("sgemm", 1.0, 1.0);
+    ASSERT_EQ(prof.trace().size(), 1u);
+    EXPECT_LT(prof.trace().entries()[0].kernel.wallNs, 5e6);
 }
 
 TEST(Timeline, HostOnlyTrace)

@@ -2,8 +2,9 @@
  * @file
  * Roofline attribution tests: per-kernel bound classification, group
  * aggregation invariants (shares sum to 100%), the Timeline
- * record-visitation hook, JSON schema validity, and the end-to-end
- * GatedGCN DGL-vs-PyG edge-pathology gap.
+ * record-visitation hook, JSON schema validity, the measured class
+ * and verdict from per-record wall windows, and the end-to-end GatedGCN
+ * DGL-vs-PyG edge-pathology gap.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,32 @@ KernelRecord
 bigKernel(double flops, double bytes)
 {
     return {"k", flops, bytes, Phase::Forward, -1};
+}
+
+/** A kernel record with a hand-set measured window. */
+KernelRecord
+timedKernel(const char *name, double flops, double bytes,
+            double wall_seconds)
+{
+    KernelRecord k{name, flops, bytes, Phase::Forward, -1};
+    k.wallNs = static_cast<float>(wall_seconds * 1e9);
+    return k;
+}
+
+/** 1 TFLOP/s and 100 GB/s: 1 GFLOP or 100 MB is 1 ms of work. */
+const HostPeaks kPeaks{1e12, 1e11};
+
+/** `json` without its `"measured": {...}` objects and their commas. */
+std::string
+withoutMeasured(std::string json)
+{
+    const std::string key = "\"measured\": {";
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key)) {
+        const std::size_t comma = json.rfind(',', at);
+        json.erase(comma, json.find('}', at) + 1 - comma);
+    }
+    return json;
 }
 
 } // namespace
@@ -212,6 +239,92 @@ TEST(RooflineJson, ParsesAndCarriesSchema)
     EXPECT_NE(suite.at("reports").find("GCN/PyG"), nullptr);
 }
 
+TEST(MeasuredBound, MirrorsClassifyKernel)
+{
+    // 1 ms of compute or memory in a 1.5 ms window: the larger term.
+    EXPECT_EQ(measuredBound(1e9, 1e6, 1.5e-3, kPeaks),
+              BoundClass::Compute);
+    EXPECT_EQ(measuredBound(1e6, 1e8, 1.5e-3, kPeaks),
+              BoundClass::Bandwidth);
+    // The same work in a 3 ms window runs below both roofs.
+    EXPECT_EQ(measuredBound(1e9, 1e6, 3e-3, kPeaks),
+              BoundClass::Dispatch);
+    EXPECT_EQ(measuredBound(1e6, 1e8, 3e-3, kPeaks),
+              BoundClass::Dispatch);
+    // Nothing to judge: no window, or no peaks.
+    EXPECT_FALSE(measuredBound(1e9, 1e6, 0.0, kPeaks));
+    EXPECT_FALSE(measuredBound(1e9, 1e6, 1e-3, HostPeaks{}));
+    EXPECT_STREQ(agreementVerdict(BoundClass::Compute, std::nullopt),
+                 "n/a");
+}
+
+TEST(RooflineAnalyzer, MeasuredClassAndVerdictPerGroup)
+{
+    // Modeled classes come from the default 2080Ti, as in the
+    // ClassifyKernel tests; the windows are chosen against kPeaks.
+    Trace trace;
+    trace.addKernel(timedKernel("gemm", 1e12, 1e3, 1.5));  // 1 s work
+    trace.addKernel(timedKernel("copy", 1e3, 1e9, 15e-3)); // 10 ms work
+    trace.addKernel(timedKernel("tiny", 1e3, 1e3, 1e-4));
+    trace.addKernel(timedKernel("slow", 1e12, 1e3, 5.0));  // 1 s in 5 s
+    RooflineAnalyzer analyzer(CostModel(), 30e-6, "timed", kPeaks);
+    analyzer.addTrace(trace, {});
+    const RooflineReport r = analyzer.report();
+    EXPECT_NEAR(r.wall, 1.5 + 15e-3 + 1e-4 + 5.0, 1e-6);
+
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(rooflineReportToJson(r), doc, &error))
+        << error;
+    const struct
+    {
+        const char *name, *modeled, *measured, *verdict;
+    } want[] = {
+        {"gemm", "compute", "compute", "agree"},
+        {"copy", "bandwidth", "bandwidth", "agree"},
+        {"tiny", "dispatch", "dispatch", "agree"},
+        {"slow", "compute", "dispatch", "disagree"},
+    };
+    for (const auto &w : want) {
+        const JsonValue &g = doc.at("kernels").at(w.name);
+        EXPECT_EQ(g.at("bound").str, w.modeled) << w.name;
+        EXPECT_EQ(g.at("measured").at("bound").str, w.measured) << w.name;
+        EXPECT_EQ(g.at("measured").at("verdict").str, w.verdict)
+            << w.name;
+    }
+    const JsonValue &m = doc.at("measured");
+    EXPECT_EQ(m.at("gemm_flops_per_s").asNumber(), 1e12);
+    EXPECT_EQ(m.at("triad_bytes_per_s").asNumber(), 1e11);
+    const std::string table = renderRooflineKernels(r);
+    EXPECT_NE(table.find("Verdict"), std::string::npos);
+    EXPECT_NE(table.find("disagree"), std::string::npos);
+}
+
+TEST(RooflineJson, ModeledLeavesIgnoreTheWindows)
+{
+    auto report = [](double wall_scale) {
+        Trace trace;
+        trace.addKernel(timedKernel("gemm", 1e12, 1e3, 1.5 * wall_scale));
+        trace.addKernel(timedKernel("tiny", 1e3, 1e3, 1e-4 * wall_scale));
+        HostRecord h{"collate", HostOpKind::Memcpy, 1e5, 1.0,
+                     Phase::DataLoading, -1};
+        h.wallNs = static_cast<float>(2e6 * wall_scale);
+        trace.addHost(h);
+        RooflineAnalyzer analyzer(CostModel(), 30e-6, "w", kPeaks);
+        analyzer.addTrace(trace, {});
+        return rooflineReportToJson(analyzer.report());
+    };
+    const std::string zeroed = report(0.0);
+    const std::string timed = report(1.0);
+    EXPECT_NE(zeroed, timed);
+    // Every wall-derived leaf sits in a `measured` object; without
+    // them the two documents are the same bytes.
+    EXPECT_EQ(withoutMeasured(zeroed), withoutMeasured(timed));
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(parseJson(withoutMeasured(timed), doc, &error)) << error;
+}
+
 TEST(RooflineTables, RenderBothViews)
 {
     Trace trace;
@@ -221,6 +334,7 @@ TEST(RooflineTables, RenderBothViews)
     const std::string table = renderRooflineTable({r});
     EXPECT_NE(table.find("GCN/PyG"), std::string::npos);
     EXPECT_NE(table.find("Util%"), std::string::npos);
+    EXPECT_NE(table.find("Wall(ms)"), std::string::npos);
     const std::string kernels = renderRooflineKernels(r);
     EXPECT_NE(kernels.find("sgemm"), std::string::npos);
     EXPECT_NE(kernels.find("compute"), std::string::npos);
@@ -270,5 +384,15 @@ TEST(RooflineExperiment, GatedGcnEdgePathologyGap)
         for (const auto &g : r.byLayer)
             layer_sum += g.elapsedSeconds;
         EXPECT_NEAR(layer_sum, r.elapsed, r.elapsed * 1e-9);
+
+        // ...and a measured window and class on this host.
+        EXPECT_GT(r.peaks.gemmFlopsPerSec, 0.0);
+        EXPECT_GT(r.peaks.triadBytesPerSec, 0.0);
+        for (const auto &g : r.byKernel) {
+            EXPECT_GT(g.wallSeconds, 0.0) << g.name;
+            EXPECT_TRUE(
+                measuredBound(g.flops, g.bytes, g.wallSeconds, r.peaks))
+                << g.name;
+        }
     }
 }
